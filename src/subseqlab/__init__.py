@@ -1,9 +1,10 @@
 """Distinct-subsequence counting and random-string expectation toolkit.
 
-Fast exact counting of distinct subsequences, brute-force oracles, three
-analytic expectation engines for random strings (closed form, IID matrix,
-Markov matrix), reproducible Monte Carlo estimation, and the root-solving
-analysis around expected pattern-occurrence counts.
+Fast exact counting of distinct subsequences, brute-force oracles, expected
+counts for random strings (the binary closed form, and one recurrence that
+serves IID letters over any alphabet and the two-state Markov chain),
+reproducible Monte Carlo estimation, and the root-solving analysis around
+expected pattern-occurrence counts.
 """
 
 from .analysis import (
@@ -17,17 +18,11 @@ from .analysis import (
     solve_balance,
 )
 from .expectation import (
-    ABWeights,
     ExpectationSeries,
-    ab_explicit,
-    ab_recurrence,
     asymptotic_constants,
     closed_form_binary,
-    iid_matrix,
     iid_matrix_expectation,
     markov_expectation,
-    markov_initial,
-    markov_matrix,
 )
 from .models import IIDModel, MarkovModel, parse_probability
 from .montecarlo import (
@@ -81,15 +76,9 @@ __all__ = [
     "MarkovModel",
     "parse_probability",
     "ExpectationSeries",
-    "ABWeights",
     "closed_form_binary",
     "asymptotic_constants",
-    "ab_recurrence",
-    "ab_explicit",
-    "iid_matrix",
     "iid_matrix_expectation",
-    "markov_matrix",
-    "markov_initial",
     "markov_expectation",
     "ENUMERATION_MAX",
     "EXHAUSTIVE_GUARD",

@@ -57,6 +57,16 @@ def _resolve_seed(seed) -> int:
         raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -212,8 +222,6 @@ def cmd_simulate(args) -> int:
         raise CliError("give exactly one of --n or --grid")
     if args.trials < 2:
         raise CliError("--trials must be at least 2")
-    if args.workers < 1:
-        raise CliError("--workers must be at least 1")
     seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
     if args.fit_growth and args.out != "json":
@@ -543,13 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid", help="length grid start:stop[:step]")
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_positive_int, default=1)
     p_sim.add_argument("--fit-growth", action="store_true", help="fit the growth constant (JSON output)")
     _add_out_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the brute-force oracle suites")
-    p_verify.add_argument("--suite", choices=("oracle", "all"), default="oracle")
     p_verify.add_argument("--max-n", type=int, default=10, help="largest length per suite")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -565,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
     p_super.add_argument("--trials", type=int, default=1000)
     p_super.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
-    p_super.add_argument("--workers", type=int, default=1)
+    p_super.add_argument("--workers", type=_positive_int, default=1)
     _add_out_flag(p_super)
     p_super.set_defaults(func=cmd_superpattern)
 

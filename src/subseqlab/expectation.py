@@ -1,34 +1,30 @@
 """Expectation engines for distinct-subsequence counts of random strings.
 
-Three routes to ``E[count(S_n)]`` under the nonempty convention:
+Two routes to ``E[count(S_n)]`` under the nonempty convention:
 
-* a closed form for IID binary strings,
-* a d x d matrix recursion for IID strings over any alphabet,
-* a 4 x 4 matrix recursion for binary strings from a two-state Markov chain.
-
-The matrix engines run in exact rational arithmetic when the model carries
-Fractions and in floats otherwise; the closed form is floating point only.
-All engines cost O(n) matrix-vector products, never a dense matrix power.
+* a closed form for IID binary strings, floating point only;
+* one recurrence over a model's letter source (see
+  ``IIDModel.letter_source``), which serves IID strings over any alphabet
+  and the two-state Markov chain alike. It tracks the expected new-count
+  weight built up since each letter last occurred, costs O(d * m**2) per
+  length for d letters and m hidden states, and runs in exact rational
+  arithmetic when the model carries Fractions and in floats otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .models import IIDModel, MarkovModel
 
 __all__ = [
     "ExpectationSeries",
-    "ABWeights",
     "closed_form_binary",
     "asymptotic_constants",
-    "ab_recurrence",
-    "ab_explicit",
-    "iid_matrix",
     "iid_matrix_expectation",
-    "markov_matrix",
-    "markov_initial",
     "markov_expectation",
 ]
 
@@ -98,69 +94,6 @@ def asymptotic_constants(alpha) -> tuple[float, float]:
     return 1.0 + r, (1.0 + 2.0 * r) / (2.0 * r)
 
 
-@dataclass(frozen=True)
-class ABWeights:
-    """Expected new-subsequence weight per length, split by final letter.
-
-    ``a[i-1]`` is the expected new weight carried by length-i strings ending
-    in 1, ``b[i-1]`` the same for strings ending in 0. Their combined total
-    over i = 1..n is the expected distinct-subsequence count of S_n.
-    """
-
-    a: tuple
-    b: tuple
-
-    def totals(self) -> tuple:
-        return tuple(x + y for x, y in zip(self.a, self.b))
-
-    def grand_total(self):
-        return sum(self.totals())
-
-
-def ab_recurrence(alpha, n: int) -> ABWeights:
-    """Iterate the split new-weight recurrence for IID binary strings.
-
-    From ``a_1 = alpha``, ``b_1 = 1 - alpha``::
-
-        a_i = a_{i-1} + alpha * b_{i-1}
-        b_i = b_{i-1} + (1 - alpha) * a_{i-1}
-
-    Exact when alpha is a Fraction. Requires 0 < alpha < 1.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("the split recurrence needs alpha strictly inside (0, 1)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a = [alpha]
-    b = [1 - alpha]
-    for _ in range(n - 1):
-        prev_a, prev_b = a[-1], b[-1]
-        a.append(prev_a + alpha * prev_b)
-        b.append(prev_b + (1 - alpha) * prev_a)
-    return ABWeights(tuple(a), tuple(b))
-
-
-def ab_explicit(alpha, i: int) -> tuple[float, float]:
-    """Closed-form solution of the split recurrence, for cross-checking.
-
-    With ``r = sqrt(alpha * (1 - alpha))``::
-
-        a_i = ((alpha - r) * (1 - r)**(i-1) + (alpha + r) * (1 + r)**(i-1)) / 2
-        b_i = ((1 - alpha - r) * (1 - r)**(i-1) + (1 - alpha + r) * (1 + r)**(i-1)) / 2
-    """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError("the split recurrence needs alpha strictly inside (0, 1)")
-    if i < 1:
-        raise ValueError("i must be at least 1")
-    r = math.sqrt(a * (1.0 - a))
-    up = (1.0 + r) ** (i - 1)
-    down = (1.0 - r) ** (i - 1)
-    ai = ((a - r) * down + (a + r) * up) / 2.0
-    bi = ((1.0 - a - r) * down + (1.0 - a + r) * up) / 2.0
-    return ai, bi
-
-
 def _resolve_mode(model, mode: str) -> str:
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
@@ -171,94 +104,57 @@ def _resolve_mode(model, mode: str) -> str:
     return mode
 
 
-def _mat_vec(mat, vec):
-    return [sum(row[k] * vec[k] for k in range(len(vec))) for row in mat]
+def _source_series(model, n: int, mode: str) -> ExpectationSeries:
+    """Iterate the last-occurrence recurrence over ``model.letter_source()``.
 
-
-def iid_matrix(model: IIDModel) -> list[list]:
-    """The d x d new-weight transfer matrix for IID strings.
-
-    Row j has 1 on the diagonal and the letter-j probability everywhere
-    else: appending letter j to a string ending in j keeps its new weight,
-    while appending j to a string ending in k != j adds the weight of the
-    sibling ending in j.
+    ``acc[c]`` is a row vector over hidden states: the expected new-count
+    weight built up since letter c last occurred (a phantom start counts as
+    1), split by the state the source is in now. Appending letter c earns
+    ``acc[c] @ steps[c]``; afterwards ``acc[c]`` restarts from the letter's
+    total new weight, plus its old weight carried through every other letter.
     """
-    probs = model.probs
-    d = len(probs)
-    return [[1 if j == k else probs[j] for k in range(d)] for j in range(d)]
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    mode = _resolve_mode(model, mode)
+    start, steps = (model if mode == "exact" else model.as_floats()).letter_source()
+    letters, states = range(len(steps)), range(len(start))
+    # column-major, so each entry of a row-vector product is one sum(map(mul))
+    step_cols = [list(zip(*steps[c])) for c in letters]
+    carry_cols = [
+        [[sum(steps[t][s][u] for t in letters if t != c) for s in states] for u in states]
+        for c in letters
+    ]
+    acc = [list(start) for _ in steps]
+    total = Fraction(0) if mode == "exact" else 0.0
+    values = []
+    for _ in range(n):
+        earned = [[sum(map(mul, a, col)) for col in cols] for a, cols in zip(acc, step_cols)]
+        weight = [sum(col) for col in zip(*earned)]
+        total += sum(weight)
+        values.append(total)
+        acc = [
+            [w + sum(map(mul, a, col)) for w, col in zip(weight, cols)]
+            for a, cols in zip(acc, carry_cols)
+        ]
+    return ExpectationSeries(tuple(values), mode=mode)
 
 
 def iid_matrix_expectation(model: IIDModel, n: int, mode: str = "auto") -> ExpectationSeries:
     """Expected counts for IID strings over any alphabet size.
 
-    The value at length m is ``ones @ (sum_{i=0}^{m-1} M**i) @ probs``,
-    accumulated with repeated matrix-vector products.
+    Exact for Fraction models under ``mode="auto"``; O(d) work per length.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    mode = _resolve_mode(model, mode)
-    work = model.as_fractions() if mode == "exact" else model.as_floats()
-    mat = iid_matrix(work)
-    vec = list(work.probs)
-    total = sum(vec)
-    values = [total]
-    for _ in range(n - 1):
-        vec = _mat_vec(mat, vec)
-        total = total + sum(vec)
-        values.append(total)
-    return ExpectationSeries(tuple(values), mode=mode)
-
-
-def markov_matrix(model: MarkovModel) -> list[list]:
-    """4 x 4 transfer matrix on new weight split by the final two letters.
-
-    State order is (11, 10, 01, 00). Entries divide by alpha and by
-    1 - beta, so the model must be strictly interior.
-    """
-    if not model.is_interior:
-        raise ValueError(
-            "the Markov matrix needs 0 < alpha < 1 and 0 < beta < 1; "
-            "use exhaustive enumeration for boundary chains"
-        )
-    a, b = model.alpha, model.beta
-    return [
-        [a, 0, a, 0],
-        [1 - a, a, 1 - a, b * (1 - a) / (1 - b)],
-        [(1 - a) * b / a, b, 1 - b, b],
-        [0, 1 - b, 0, 1 - b],
-    ]
-
-
-def markov_initial(model: MarkovModel) -> list:
-    """Initial split weights for length-1 strings, phantom-start convention.
-
-    With ``g = gamma`` the stationary chance of a one, the four states carry
-    ``(g * alpha, g * (1 - alpha), (1 - g) * beta, (1 - g) * (1 - beta))``.
-    """
-    g = model.gamma
-    a, b = model.alpha, model.beta
-    return [g * a, g * (1 - a), (1 - g) * b, (1 - g) * (1 - b)]
+    if not isinstance(model, IIDModel):
+        raise TypeError(f"expected an IIDModel, got {type(model).__name__}")
+    return _source_series(model, n, mode)
 
 
 def markov_expectation(model: MarkovModel, n: int, mode: str = "auto") -> ExpectationSeries:
     """Expected counts for binary strings from a two-state Markov chain.
 
-    Splits the expected new weight by the final two letters, iterates the
-    4 x 4 transfer matrix from the stationary-start initial vector, and
-    partial-sums the component totals. Boundary alpha or beta are rejected
-    (the matrix entries divide by alpha and 1 - beta); the exhaustive oracle
-    covers degenerate chains.
+    Covers every valid chain, boundary alpha and beta included; constant
+    work per length.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    mode = _resolve_mode(model, mode)
-    work = model if mode == "exact" else model.as_floats()
-    mat = markov_matrix(work)
-    vec = markov_initial(work)
-    total = sum(vec)
-    values = [total]
-    for _ in range(n - 1):
-        vec = _mat_vec(mat, vec)
-        total = total + sum(vec)
-        values.append(total)
-    return ExpectationSeries(tuple(values), mode=mode)
+    if not isinstance(model, MarkovModel):
+        raise TypeError(f"expected a MarkovModel, got {type(model).__name__}")
+    return _source_series(model, n, mode)

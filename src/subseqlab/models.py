@@ -82,6 +82,15 @@ class IIDModel:
             raise ValueError("model probabilities are not exact rationals")
         return IIDModel(tuple(Fraction(p) for p in self.probs))
 
+    def letter_source(self) -> tuple:
+        """``(start, steps)`` with one hidden state: ``steps[c] = [[p_c]]``.
+
+        A letter source has m hidden states; ``start`` is their initial
+        distribution and ``steps[c][s][s2]`` is the probability that the
+        next letter is c and the source moves from s to s2.
+        """
+        return (1,), tuple(((p,),) for p in self.probs)
+
     def describe(self) -> str:
         return "iid(" + ",".join(str(p) for p in self.probs) + ")"
 
@@ -111,11 +120,6 @@ class MarkovModel:
         return is_exact_number(self.alpha) and is_exact_number(self.beta)
 
     @property
-    def is_interior(self) -> bool:
-        """True when both transition probabilities are strictly inside (0, 1)."""
-        return 0 < self.alpha < 1 and 0 < self.beta < 1
-
-    @property
     def gamma(self):
         """Stationary probability that a letter is 1."""
         if self.is_exact:
@@ -124,6 +128,20 @@ class MarkovModel:
 
     def as_floats(self) -> "MarkovModel":
         return MarkovModel(float(self.alpha), float(self.beta))
+
+    def letter_source(self) -> tuple:
+        """Two hidden states, the last letter, started from stationarity.
+
+        ``steps[c][s][s2] = T[s][c]`` when ``s2 == c`` and 0 otherwise, with
+        ``T[s][1]`` the chance of a one after letter s.
+        """
+        g = self.gamma
+        trans = ((1 - self.beta, self.beta), (1 - self.alpha, self.alpha))
+        steps = tuple(
+            tuple(tuple(trans[s][c] if s2 == c else 0 for s2 in (0, 1)) for s in (0, 1))
+            for c in (0, 1)
+        )
+        return (1 - g, g), steps
 
     def describe(self) -> str:
         return f"markov(alpha={self.alpha},beta={self.beta})"

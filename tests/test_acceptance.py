@@ -147,7 +147,7 @@ def test_c05_markov_engine():
 @criterion(6, "equal-pair layout of the binary tree rows")
 def test_c06_pair_structure():
     for n in range(2, 13):
-        check_pair_structure(n)
+        assert check_pair_structure(n), n
     return "rows n=2..12"
 
 

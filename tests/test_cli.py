@@ -7,9 +7,11 @@ two determinism tests shell out to compare raw bytes across runs.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from subseqlab import MarkovModel, exhaustive_expectation
 from subseqlab.cli import ENV_SEED, main
 
 
@@ -113,12 +115,18 @@ def test_expect_engine_model_mismatch(capsys):
     assert err != ""
 
 
-def test_expect_markov_boundary_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "expect", "--engine", "markov", "--markov", "1,0.5", "--n", "4"
-    )
-    assert code == 1
-    assert "boundary" in err or "exhaustive" in err
+def test_expect_markov_boundary_matches_oracle(capsys):
+    """Boundary chains run through the engine and equal the oracle."""
+    tenths = ("0", "3/10", "1/2", "7/10", "1")
+    chains = [(a, b) for a in tenths for b in tenths if (a, b) != ("1", "0")]
+    for a, b, n in [("1", "1/2", 8)] + [(a, b, 12) for a, b in chains]:
+        code, out, _ = run_cli(
+            capsys, "expect", "--engine", "markov", "--markov", f"{a},{b}",
+            "--exact", "--n", str(n), "--out", "json",
+        )
+        assert code == 0
+        want = exhaustive_expectation(MarkovModel(Fraction(a), Fraction(b)), n).values
+        assert tuple(Fraction(v) for v in json.loads(out)["values"]) == want
 
 
 def test_tree_row_output(capsys):
@@ -279,6 +287,22 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
     assert code == 0
     assert "all suites passed" in out
+
+
+def test_workers_must_be_positive(capsys):
+    for workers in ("0", "-4"):
+        code, out, err = run_cli(
+            capsys, "superpattern", "--alpha", "0.5", "--n", "20",
+            "--trials", "5", "--workers", workers,
+        )
+        assert (code, out) == (1, "")
+        assert "--workers" in err
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", "iid", "--alpha", "0.5",
+            "--n", "8", "--trials", "5", "--workers", workers,
+        )
+        assert code == 1
+        assert "--workers" in err
 
 
 def test_bad_usage_exits_one(capsys):

@@ -1,16 +1,19 @@
-"""Tests for the expectation engines: closed form, weight recurrence,
-and the two matrix engines, all cross-checked against the oracle."""
+"""Tests for the expectation engines: the closed form and the letter-source
+recurrence, cross-checked against the oracle and against the paper's own
+constructions (the split-weight closed form and the 4 x 4 Markov matrix),
+which live here as reference implementations."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseqlab import (
     IIDModel,
     MarkovModel,
-    ab_explicit,
-    ab_recurrence,
     asymptotic_constants,
     closed_form_binary,
     exhaustive_expectation,
@@ -19,6 +22,45 @@ from subseqlab import (
 )
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
+# every valid binary chain on this grid; (1, 0) has no stationary start
+BOUNDARY_GRID = (Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1))
+CHAINS = [(a, b) for a, b in itertools.product(BOUNDARY_GRID, repeat=2) if (a, b) != (1, 0)]
+
+
+def ab_explicit(alpha, i):
+    """The paper's closed-form split weights of IID binary strings.
+
+    ``a_i`` (``b_i``) is the expected new weight of length-i strings ending
+    in 1 (in 0); they solve ``a_i = a_{i-1} + alpha * b_{i-1}``,
+    ``b_i = b_{i-1} + (1 - alpha) * a_{i-1}`` from ``a_1 = alpha``.
+    """
+    r = math.sqrt(alpha * (1.0 - alpha))
+    up = (1.0 + r) ** (i - 1)
+    down = (1.0 - r) ** (i - 1)
+    a = ((alpha - r) * down + (alpha + r) * up) / 2.0
+    b = ((1.0 - alpha - r) * down + (1.0 - alpha + r) * up) / 2.0
+    return a, b
+
+
+def markov_matrix_series(model, n):
+    """The paper's 4 x 4 Markov construction, for interior chains only.
+
+    New weight is split by the last two letters, in state order
+    (11, 10, 01, 00); the transfer matrix divides by alpha and 1 - beta.
+    """
+    a, b, g = model.alpha, model.beta, model.gamma
+    mat = [
+        [a, 0, a, 0],
+        [1 - a, a, 1 - a, b * (1 - a) / (1 - b)],
+        [(1 - a) * b / a, b, 1 - b, b],
+        [0, 1 - b, 0, 1 - b],
+    ]
+    vec = [g * a, g * (1 - a), (1 - g) * b, (1 - g) * (1 - b)]
+    values = [sum(vec)]
+    for _ in range(n - 1):
+        vec = [sum(x * y for x, y in zip(row, vec)) for row in mat]
+        values.append(values[-1] + sum(vec))
+    return tuple(values)
 
 
 def test_closed_form_fair_matches_doubling_rule():
@@ -71,30 +113,39 @@ def test_asymptotic_constants_skewed():
         asymptotic_constants(0.0)
 
 
-def test_ab_recurrence_first_terms():
-    weights = ab_recurrence(0.5, 3)
-    assert weights.a == (0.5, 0.75, 1.125)
-    assert weights.b == (0.5, 0.75, 1.125)
-    skew = ab_recurrence(0.25, 2)
-    assert skew.a == (0.25, 0.25 + 0.25 * 0.75)
-    assert skew.b == (0.75, 0.75 + 0.75 * 0.25)
-
-
-def test_ab_recurrence_matches_explicit_form():
+def test_ab_explicit_first_terms():
+    """The closed form reproduces the split recurrence term by term."""
+    for i, want in enumerate((0.5, 0.75, 1.125), start=1):
+        a, b = ab_explicit(0.5, i)
+        assert math.isclose(a, want, rel_tol=1e-15)
+        assert math.isclose(b, want, rel_tol=1e-15)
+    a, b = ab_explicit(0.25, 2)
+    assert math.isclose(a, 0.25 + 0.25 * 0.75, rel_tol=1e-15)
+    assert math.isclose(b, 0.75 + 0.75 * 0.25, rel_tol=1e-15)
     for alpha in (0.1, 0.3, 0.5, 0.8):
-        weights = ab_recurrence(alpha, 20)
+        for i in range(2, 21):
+            (pa, pb), (a, b) = ab_explicit(alpha, i - 1), ab_explicit(alpha, i)
+            assert math.isclose(a, pa + alpha * pb, rel_tol=1e-12)
+            assert math.isclose(b, pb + (1 - alpha) * pa, rel_tol=1e-12)
+
+
+def test_ab_explicit_matches_engine_increments():
+    """a_i + b_i is the engine's expected new count at length i."""
+    for alpha in (0.1, 0.3, 0.5, 0.8):
+        values = (0.0,) + iid_matrix_expectation(IIDModel.binary(alpha), 20).values
         for i in range(1, 21):
             a, b = ab_explicit(alpha, i)
-            assert math.isclose(weights.a[i - 1], a, rel_tol=1e-12)
-            assert math.isclose(weights.b[i - 1], b, rel_tol=1e-12)
+            assert math.isclose(values[i] - values[i - 1], a + b, rel_tol=1e-12)
 
 
 def test_ab_totals_recover_expectation():
-    """Summing the per-position weights reproduces the closed form."""
+    """Summing the per-position weights reproduces the closed form and the engine."""
     for alpha in (0.2, 0.5, 0.7):
+        series = iid_matrix_expectation(IIDModel.binary(alpha), 12)
         for n in (1, 5, 12):
-            total = ab_recurrence(alpha, n).grand_total()
+            total = sum(sum(ab_explicit(alpha, i)) for i in range(1, n + 1))
             assert math.isclose(total, closed_form_binary(alpha, n), rel_tol=1e-12)
+            assert math.isclose(total, series.value_at(n), rel_tol=1e-12)
 
 
 def test_iid_matrix_exact_binary():
@@ -148,11 +199,30 @@ def test_markov_reduces_to_iid_on_diagonal():
             )
 
 
-def test_markov_rejects_boundary_chains():
-    with pytest.raises(ValueError):
-        markov_expectation(MarkovModel(Fraction(1), Fraction(1, 2)), 4)
-    with pytest.raises(ValueError):
-        markov_expectation(MarkovModel(Fraction(1, 2), Fraction(0)), 4)
+def test_markov_matrix_reference_matches_engine():
+    """The paper's 4 x 4 iteration equals the engine on c05's interior grid."""
+    grid = (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10))
+    for alpha, beta in itertools.product(grid, repeat=2):
+        model = MarkovModel(alpha, beta)
+        assert markov_matrix_series(model, 12) == markov_expectation(model, 12).values
+
+
+def test_markov_boundary_chains_match_oracle():
+    """Chains with alpha or beta at 0 or 1 need no special case."""
+    assert len(CHAINS) == 24
+    for alpha, beta in CHAINS:
+        model = MarkovModel(alpha, beta)
+        assert (
+            markov_expectation(model, 12).values
+            == exhaustive_expectation(model, 12).values
+        ), model.describe()
+
+
+def test_engines_check_the_model_type():
+    with pytest.raises(TypeError):
+        iid_matrix_expectation(MarkovModel(Fraction(1, 2), Fraction(1, 2)), 3)
+    with pytest.raises(TypeError):
+        markov_expectation(IIDModel.binary(Fraction(1, 2)), 3)
 
 
 def test_markov_model_rejects_undefined_start():
@@ -169,3 +239,46 @@ def test_series_accessors():
         series.value_at(0)
     with pytest.raises(IndexError):
         series.value_at(4)
+
+
+@st.composite
+def rational_models(draw):
+    """IID models with d = 1..4 letters, denominators up to 10 and zero
+    probabilities allowed, or binary chains with alpha, beta in {k/10}."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        q = draw(st.integers(1, 10))
+        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=d - 1, max_size=d - 1)))
+        edges = [0] + cuts + [q]
+        return IIDModel(tuple(Fraction(hi - lo, q) for lo, hi in zip(edges, edges[1:])))
+    tenths = st.integers(0, 10).map(lambda k: Fraction(k, 10))
+    alpha, beta = draw(
+        st.tuples(tenths, tenths).filter(lambda ab: ab != (Fraction(1), Fraction(0)))
+    )
+    return MarkovModel(alpha, beta)
+
+
+def engine_series(model, n, mode="auto"):
+    if isinstance(model, IIDModel):
+        return iid_matrix_expectation(model, n, mode=mode)
+    return markov_expectation(model, n, mode=mode)
+
+
+@given(rational_models(), st.integers(1, 8))
+@settings(max_examples=30, deadline=None)
+def test_exact_engine_equals_oracle(model, n):
+    # keep the walk under 3**8 paths: four-letter models stop at n = 6
+    n = min(n, 6) if isinstance(model, IIDModel) and model.d == 4 else n
+    series = engine_series(model, n)
+    assert series.mode == "exact"
+    assert series.values == exhaustive_expectation(model, n).values
+
+
+@given(rational_models(), st.integers(1, 60))
+@settings(max_examples=30, deadline=None)
+def test_float_engine_tracks_exact(model, n):
+    exact = engine_series(model, n).values
+    floats = engine_series(model, n, mode="float")
+    assert floats.mode == "float"
+    for got, want in zip(floats.values, exact):
+        assert math.isclose(got, want, rel_tol=1e-12)

@@ -79,7 +79,7 @@ def test_tree_row_sums_double_plus_siblings():
 
 def test_pair_structure_small_rows():
     for n in range(2, 13):
-        check_pair_structure(n)
+        assert check_pair_structure(n), n
 
 
 def test_exhaustive_fair_binary():
