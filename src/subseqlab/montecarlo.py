@@ -267,6 +267,11 @@ def estimate_growth_constant(
     ns = sorted(set(int(x) for x in n_grid))
     if len(ns) < 3:
         raise ValueError("growth fit needs at least 3 distinct grid lengths")
+    short = [n for n in ns if n < 1]
+    if short:
+        raise ValueError(
+            f"growth fit takes ln of the mean count, so lengths must be at least 1; got {short}"
+        )
     records = tuple(
         estimate_expected_count(model, n, trials, seed, workers=workers, stream=idx)
         for idx, n in enumerate(ns)

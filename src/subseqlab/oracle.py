@@ -1,9 +1,11 @@
 """Brute-force ground truth for the fast counters and expectation engines.
 
 Everything here trades time for transparency: subsequence sets are built
-explicitly, expectations sum over every possible string in exact rational
-arithmetic, and structural identities are checked row by row. Size guards
-keep the exponential enumerations inside a sane budget and raise
+explicitly, expectations sum over every possible string in exact
+arithmetic, and structural identities are checked row by row. One
+depth-first walk over the prefix tree, with integer path weights, serves
+both the tree rows and the exhaustive expectations. Size guards keep the
+exponential enumerations inside a sane budget and raise
 :class:`SizeGuardError` beyond it.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .expectation import ExpectationSeries
 from .models import IIDModel, MarkovModel
@@ -40,7 +43,9 @@ class SizeGuardError(RuntimeError):
 
 
 def _guard_power(d: int, n: int) -> None:
-    if d**n > EXHAUSTIVE_GUARD:
+    # For d >= 2, d**k exceeds the guard once k reaches its bit length, so
+    # capping n there spares a huge n a huge power.
+    if d ** min(n, EXHAUSTIVE_GUARD.bit_length()) > EXHAUSTIVE_GUARD:
         raise SizeGuardError(
             f"{d}**{n} strings exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
@@ -80,31 +85,56 @@ class TreeRow:
     values: tuple[int, ...]
 
 
+def _walk(start, steps, n: int, visit) -> None:
+    """Depth-first walk over every string of length 1..n with nonzero weight.
+
+    ``start[c]`` weighs a first letter c and ``steps[prev][c]`` a letter c
+    after ``prev``; a string weighs the product along it, and a zero-weight
+    prefix is pruned with its whole subtree. Children are visited in
+    decreasing letter order, and each string reports
+    ``visit(length, nu, weight)`` with ``nu`` the new-subsequence count of
+    its last letter. Prefix state is shared through counter snapshots, so
+    every string costs one push. The guard bounds the depth too, which keeps
+    one-letter walks off the recursion limit.
+    """
+    d = len(start)
+    _guard_power(max(d, 2), n)
+    counter = IncrementalCounter(Alphabet(d))
+    letters = range(d - 1, -1, -1)
+
+    def down(depth: int, weights, path: int) -> None:
+        state = counter.snapshot()
+        for letter in letters:
+            w = path * weights[letter]
+            if w:
+                nu, _ = counter.push(letter)
+                visit(depth, nu, w)
+                if depth < n:
+                    down(depth + 1, steps[letter], w)
+                counter.restore(state)
+
+    if n:
+        down(1, start, 1)
+
+
 def tree_row(d: int, n: int) -> TreeRow:
     """Row ``n`` of new-subsequence counts over alphabet size ``d``.
 
-    Row 0 is the empty string with value 0. The walk shares prefix state
-    through counter snapshots, so the row costs O(d**n) pushes total.
+    Row 0 is the empty string with value 0. Row n is the walk with every
+    weight 1, keeping the new counts at depth n: O(d**n) pushes in total.
     """
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    _guard_power(d, n)
-    values: list[int] = []
-    counter = IncrementalCounter(Alphabet(d))
+    values = [] if n else [0]
 
-    def walk(depth: int, nu: int) -> None:
+    def keep(depth: int, nu: int, _w: int) -> None:
         if depth == n:
             values.append(nu)
-            return
-        for letter in range(d - 1, -1, -1):
-            state = counter.snapshot()
-            child_nu, _ = counter.push(letter)
-            walk(depth + 1, child_nu)
-            counter.restore(state)
 
-    walk(0, 0)
+    ones = (1,) * d
+    _walk(ones, (ones,) * d, n, keep)
     return TreeRow(d, n, tuple(values))
 
 
@@ -119,12 +149,14 @@ def _require_exact(model) -> None:
 def exhaustive_expectation(model, n: int) -> ExpectationSeries:
     """Exact ``E[count(S_i)]`` for i = 1..n by enumerating every string.
 
-    Sums ``phi(T) * Pr[T]`` over all strings T of each length, sharing
-    prefix work through a depth-first walk that accumulates per-length new
-    weight. IID strings multiply per-letter probabilities; Markov strings
-    start from the stationary distribution and multiply transition
-    probabilities. Zero-probability branches are pruned, so degenerate
-    models cost only their support.
+    Sums ``phi(T) * Pr[T]`` over all strings T of each length with one
+    depth-first walk that adds up per-length new weight. The model's
+    probabilities are scaled by their common denominator q, so path weights
+    are the integers ``q**i * Pr[T]`` and each length is divided by
+    ``q**i`` once. IID letters weigh the same after every letter; a Markov
+    string starts from the stationary distribution and continues with the
+    transition probabilities. Zero-probability branches are pruned, so
+    degenerate models cost only their support.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -136,66 +168,29 @@ def exhaustive_expectation(model, n: int) -> ExpectationSeries:
 
 @lru_cache(maxsize=128)
 def _exhaustive_expectation_cached(model, n: int) -> ExpectationSeries:
-    new_weight = [Fraction(0)] * (n + 1)
-
+    # rows[0] weighs the first letter and rows[1 + prev] the letter after
+    # prev. They are read off the model's fields, not its letter source, so
+    # the oracle stays independent of the engine it checks.
     if isinstance(model, IIDModel):
-        probs = model.as_fractions().probs
-        d = len(probs)
-        _guard_power(d, n)
-        counter = IncrementalCounter(Alphabet(d))
-
-        def walk(depth: int, prob: Fraction) -> None:
-            if depth == n:
-                return
-            for letter in range(d):
-                p = prob * probs[letter]
-                if p == 0:
-                    continue
-                state = counter.snapshot()
-                nu, _ = counter.push(letter)
-                new_weight[depth + 1] += nu * p
-                walk(depth + 1, p)
-                counter.restore(state)
-
-        walk(0, Fraction(1))
-
+        rows = (model.probs,) * (model.d + 1)
     elif isinstance(model, MarkovModel):
-        _guard_power(2, n)
-        alpha = Fraction(model.alpha)
-        beta = Fraction(model.beta)
-        gamma = model.gamma
-        counter = IncrementalCounter(Alphabet(2))
-
-        def letter_prob(prev: int | None, letter: int) -> Fraction:
-            if prev is None:
-                return gamma if letter == 1 else 1 - gamma
-            if prev == 1:
-                return alpha if letter == 1 else 1 - alpha
-            return beta if letter == 1 else 1 - beta
-
-        def walk_markov(depth: int, prob: Fraction, prev: int | None) -> None:
-            if depth == n:
-                return
-            for letter in (1, 0):
-                p = prob * letter_prob(prev, letter)
-                if p == 0:
-                    continue
-                state = counter.snapshot()
-                nu, _ = counter.push(letter)
-                new_weight[depth + 1] += nu * p
-                walk_markov(depth + 1, p, letter)
-                counter.restore(state)
-
-        walk_markov(0, Fraction(1), None)
-
+        a, b, g = model.alpha, model.beta, model.gamma
+        rows = ((1 - g, g), (1 - b, b), (1 - a, a))
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    q = lcm(*(Fraction(p).denominator for row in rows for p in row))
+    start, *steps = [tuple(int(p * q) for p in row) for row in rows]
+    new_weight = [0] * (n + 1)
 
+    def add(depth: int, nu: int, w: int) -> None:
+        new_weight[depth] += nu * w
+
+    _walk(start, steps, n, add)
     values = []
-    acc = Fraction(0)
+    acc = 0  # q**i * E[count(S_i)]
     for i in range(1, n + 1):
-        acc += new_weight[i]
-        values.append(acc)
+        acc = acc * q + new_weight[i]
+        values.append(Fraction(acc, q**i))
     return ExpectationSeries(tuple(values), mode="exact")
 
 

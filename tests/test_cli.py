@@ -136,9 +136,12 @@ def test_tree_row_output(capsys):
 
 
 def test_tree_row_size_guard_exit_code(capsys):
-    code, _, err = run_cli(capsys, "tree-row", "--d", "2", "--n", "30")
-    assert code == 2
-    assert "size guard" in err
+    # A one-letter row is a single string, but its walk is 5000 deep.
+    for d, n in (("2", "30"), ("1", "5000")):
+        code, _, err = run_cli(capsys, "tree-row", "--d", d, "--n", n)
+        assert code == 2
+        assert "size guard" in err
+        assert "Traceback" not in err
 
 
 def test_simulate_single_length(capsys):
@@ -173,6 +176,16 @@ def test_simulate_grid_and_fit_json(capsys):
     payload = json.loads(out)
     assert [rec["n"] for rec in payload["rows"]] == [8, 12, 16]
     assert set(payload["fit"]) >= {"c", "slope", "intercept", "r_squared", "clamped"}
+
+
+def test_simulate_fit_rejects_length_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "iid", "--alpha", "0.5",
+        "--grid", "0:4", "--trials", "3", "--fit-growth", "--out", "json",
+    )
+    assert code == 1
+    assert out == ""
+    assert "at least 1; got [0]" in err
 
 
 def test_simulate_fit_requires_json(capsys):

@@ -164,6 +164,18 @@ def test_estimate_growth_constant_monte_carlo():
     assert [r.n for r in fit.records] == list(range(10, 41, 5))
 
 
+def test_growth_fit_rejects_short_lengths_before_sampling(monkeypatch):
+    """ln of the zero mean at n = 0 has no value: refuse the grid up front."""
+    from subseqlab import montecarlo
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the grid")
+
+    monkeypatch.setattr(montecarlo, "estimate_expected_count", no_sampling)
+    with pytest.raises(ValueError, match=r"at least 1; got \[0\]"):
+        estimate_growth_constant(IIDModel.binary(0.5), range(0, 5), 3, seed=1)
+
+
 def test_superpattern_greedy_known_values():
     from subseqlab import LetterString
 

@@ -19,11 +19,14 @@ from subseqlab import (
     count_distinct,
     enumerate_distinct,
     exhaustive_expectation,
+    iid_matrix_expectation,
     is_subsequence,
     superpattern_k_bruteforce,
     tree_row,
 )
+from subseqlab import oracle
 from subseqlab.montecarlo import superpattern_k
+from subseqlab.strings import IncrementalCounter
 
 random_binary = st.lists(st.integers(0, 1), max_size=12).map(
     lambda xs: LetterString.from_letters(xs, BINARY)
@@ -75,6 +78,67 @@ def test_tree_row_sums_double_plus_siblings():
         row = tree_row(2, n).values
         assert len(row) == 2**n
         assert min(row) == 1
+
+
+def test_walk_depth_hits_the_size_guard():
+    """One-letter walks have one string per length but are n deep: guarded,
+    not a RecursionError. A huge n is refused without computing d**n."""
+    with pytest.raises(SizeGuardError):
+        exhaustive_expectation(IIDModel((Fraction(1),)), 3000)
+    with pytest.raises(SizeGuardError):
+        tree_row(1, 5000)
+    with pytest.raises(SizeGuardError):
+        tree_row(3, 10**8)
+    assert tree_row(1, 20).values == (1,)
+    assert exhaustive_expectation(IIDModel((Fraction(1),)), 20).values[-1] == 20
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """Counts ``IncrementalCounter.push`` calls, with a cold oracle cache."""
+    calls = [0]
+    push = IncrementalCounter.push
+
+    def counted(self, letter):
+        calls[0] += 1
+        return push(self, letter)
+
+    monkeypatch.setattr(IncrementalCounter, "push", counted)
+    oracle._exhaustive_expectation_cached.cache_clear()
+    return calls
+
+
+def test_tree_row_pushes_every_prefix_once(pushes):
+    for n in range(7):
+        pushes[0] = 0
+        tree_row(3, n)
+        assert pushes[0] == sum(3**i for i in range(1, n + 1))
+
+
+def test_walk_prunes_zero_probability_branches(pushes):
+    """gamma = 1 and alpha = 1 leave one string; a zero letter leaves 2**i
+    strings of each length i."""
+    model = MarkovModel(1, Fraction(1, 2))
+    assert model.gamma == 1
+    exhaustive_expectation(model, 16)
+    assert pushes[0] == 16
+    pushes[0] = 0
+    exhaustive_expectation(IIDModel((Fraction(1, 3), 0, Fraction(2, 3))), 9)
+    assert pushes[0] == 1022
+
+
+def test_tree_row_sums_are_expectation_increments():
+    """Under uniform letters every length-n string weighs d**-n, so row n
+    sums to d**n (E[phi_n] - E[phi_(n-1)])."""
+    for d in (1, 2, 3):
+        model = IIDModel.uniform(d)
+        for series in (
+            exhaustive_expectation(model, 8),
+            iid_matrix_expectation(model, 8, mode="exact"),
+        ):
+            e = (Fraction(0),) + series.values
+            for n in range(1, 9):
+                assert sum(tree_row(d, n).values) == d**n * (e[n] - e[n - 1]), (d, n)
 
 
 def test_pair_structure_small_rows():
