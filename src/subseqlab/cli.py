@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: count, expect, simulate, verify, tree-row, superpattern,
-solve. Exit codes: 0 success, 1 invalid input or failed verification,
-2 exhaustive size-guard violation. The default master seed comes from the
-SUBSEQLAB_SEED environment variable (0 when unset).
+solve. count, expect, simulate and superpattern print CSV with a header,
+or JSON with --out json; solve prints JSON; verify and tree-row print
+plain text. Only the samplers (simulate, and superpattern with a model)
+load numpy. Exit codes: 0 success, 1 invalid input or failed
+verification, 2 exhaustive size-guard violation. The default master
+seed comes from the SUBSEQLAB_SEED environment variable (0 when unset).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .analysis import expected_occurrences, occurrence_threshold, solve_balance
@@ -35,6 +39,8 @@ from .output import dump_json, render_csv
 from .strings import Alphabet, LetterString, count_distinct, new_subseq_counts
 
 ENV_SEED = "SUBSEQLAB_SEED"
+_MODEL_FLAGS = {IIDModel: "--alpha or --probs", MarkovModel: "--markov alpha,beta"}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 class CliError(ValueError):
@@ -81,7 +87,9 @@ def _parse_grid(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _parse_model(args, exact: bool):
+def _parse_model(args, exact: bool, kind=None, label: str = ""):
+    """The model named by --alpha, --probs or --markov; with ``kind`` set,
+    a model of another kind is rejected as ``"{label} takes {flags}"``."""
     given = [
         name
         for name in ("alpha", "probs", "markov")
@@ -90,20 +98,31 @@ def _parse_model(args, exact: bool):
     if len(given) != 1:
         raise CliError("give exactly one of --alpha, --probs, --markov")
     if args.alpha is not None:
-        return IIDModel.binary(parse_probability(args.alpha, exact))
-    if args.probs is not None:
+        model = IIDModel.binary(parse_probability(args.alpha, exact))
+    elif args.probs is not None:
         probs = tuple(parse_probability(tok, exact) for tok in args.probs.split(","))
-        return IIDModel(probs)
-    toks = args.markov.split(",")
-    if len(toks) != 2:
-        raise CliError("--markov takes two probabilities: alpha,beta")
-    return MarkovModel(
-        parse_probability(toks[0], exact), parse_probability(toks[1], exact)
-    )
+        model = IIDModel(probs)
+    else:
+        toks = args.markov.split(",")
+        if len(toks) != 2:
+            raise CliError("--markov takes two probabilities: alpha,beta")
+        model = MarkovModel(
+            parse_probability(toks[0], exact), parse_probability(toks[1], exact)
+        )
+    if kind is not None and not isinstance(model, kind):
+        raise CliError(f"{label} takes {_MODEL_FLAGS[kind]}")
+    return model
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _emit(out: str, doc, columns=(), rows=()) -> None:
+    """Print ``doc`` as JSON, or the named columns of each row dict as CSV
+    with a list cell joined by spaces."""
+    if out == "json":
+        sys.stdout.write(dump_json(doc))
+        return
+    cells = [[row[col] for col in columns] for row in rows]
+    table = [[" ".join(map(str, v)) if isinstance(v, list) else v for v in r] for r in cells]
+    sys.stdout.write(render_csv(columns, table))
 
 
 # ---------------------------------------------------------------- count
@@ -140,21 +159,12 @@ def cmd_count(args) -> int:
         if args.profile:
             row["profile"] = list(profile)
         rows.append(row)
-    if args.out == "json":
-        _emit(dump_json({"rows": rows}))
-        return 0
     columns = ["input", "n", "phi"]
     if args.with_empty:
         columns.append("phi_with_empty")
     if args.profile:
         columns.append("profile")
-
-    def cell(row, col):
-        if col == "profile":
-            return " ".join(str(c) for c in row["profile"])
-        return row[col]
-
-    _emit(render_csv(columns, [[cell(r, c) for c in columns] for r in rows]))
+    _emit(args.out, {"rows": rows}, columns, rows)
     return 0
 
 
@@ -176,36 +186,24 @@ def cmd_expect(args) -> int:
         values = [closed_form_binary(alpha, i) for i in range(1, args.n + 1)]
         mode = "float"
         model_desc = f"iid-binary(alpha={alpha})"
-    elif args.engine == "matrix":
-        model = _parse_model(args, exact)
-        if isinstance(model, MarkovModel):
-            raise CliError("the matrix engine takes --alpha or --probs")
-        series = iid_matrix_expectation(model, args.n, mode="exact" if exact else "float")
+    else:
+        markov = args.engine == "markov"
+        kind = MarkovModel if markov else IIDModel
+        model = _parse_model(args, exact, kind, f"the {args.engine} engine")
+        engine = markov_expectation if markov else iid_matrix_expectation
+        series = engine(model, args.n, mode="exact" if exact else "float")
         values = list(series.values)
         mode = series.mode
         model_desc = model.describe()
-    else:  # markov
-        model = _parse_model(args, exact)
-        if not isinstance(model, MarkovModel):
-            raise CliError("the markov engine takes --markov alpha,beta")
-        series = markov_expectation(model, args.n, mode="exact" if exact else "float")
-        values = list(series.values)
-        mode = series.mode
-        model_desc = model.describe()
-    if args.out == "json":
-        _emit(
-            dump_json(
-                {
-                    "engine": args.engine,
-                    "model": model_desc,
-                    "mode": mode,
-                    "n": args.n,
-                    "values": values,
-                }
-            )
-        )
-        return 0
-    _emit(render_csv(["n", "value"], [[i + 1, v] for i, v in enumerate(values)]))
+    doc = {
+        "engine": args.engine,
+        "model": model_desc,
+        "mode": mode,
+        "n": args.n,
+        "values": values,
+    }
+    rows = [{"n": i, "value": v} for i, v in enumerate(values, start=1)]
+    _emit(args.out, doc, ("n", "value"), rows)
     return 0
 
 
@@ -213,11 +211,8 @@ def cmd_expect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _parse_model(args, exact=False)
-    if args.model == "iid" and not isinstance(model, IIDModel):
-        raise CliError("--model iid takes --alpha or --probs")
-    if args.model == "markov" and not isinstance(model, MarkovModel):
-        raise CliError("--model markov takes --markov alpha,beta")
+    kind = IIDModel if args.model == "iid" else MarkovModel
+    model = _parse_model(args, False, kind, f"--model {args.model}")
     if (args.n is None) == (args.grid is None):
         raise CliError("give exactly one of --n or --grid")
     if args.trials < 2:
@@ -230,47 +225,35 @@ def cmd_simulate(args) -> int:
     if args.fit_growth:
         growth = estimate_growth_constant(model, ns, args.trials, seed, workers=args.workers)
         records = list(growth.records)
-        fit = {
-            "c": growth.c,
-            "slope": growth.slope,
-            "intercept": growth.intercept,
-            "r_squared": growth.r_squared,
-            "clamped": growth.clamped,
-        }
+        fit = {k: getattr(growth, k) for k in ("c", "slope", "intercept", "r_squared", "clamped")}
     else:
         records = [
             estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
             for idx, n in enumerate(ns)
         ]
-    if args.out == "json":
-        payload = {
-            "model": model.describe(),
-            "rows": [
-                {
-                    "n": r.n,
-                    "mean": r.mean,
-                    "stderr": r.stderr,
-                    "trials": r.trials,
-                    "seed": r.seed,
-                    "log_space": r.log_space,
-                }
-                for r in records
-            ],
-        }
-        if fit is not None:
-            payload["fit"] = fit
-        _emit(dump_json(payload))
-        return 0
-    _emit(
-        render_csv(
-            ["n", "mean", "stderr", "trials", "seed"],
-            [[r.n, r.mean, r.stderr, r.trials, r.seed] for r in records],
-        )
-    )
+    rows = [{k: v for k, v in asdict(r).items() if k != "model"} for r in records]
+    doc = {"model": model.describe(), "rows": rows}
+    if fit is not None:
+        doc["fit"] = fit
+    # ln(mean) rows say so in CSV too; the column is absent when no row needs it
+    columns = ["n", "mean", "stderr", "trials", "seed"]
+    if any(r.log_space for r in records):
+        columns.append("log_space")
+    _emit(args.out, doc, columns, rows)
     return 0
 
 
 # ---------------------------------------------------------------- verify
+
+
+def _all_strings(d: int, max_n: int):
+    """Every string over d letters of length 1..max_n, shortest first."""
+    alphabet = Alphabet(d)
+    strings = [()]
+    for _ in range(max_n):
+        strings = [s + (c,) for s in strings for c in range(d)]
+        for letters in strings:
+            yield LetterString(alphabet, letters)
 
 
 def _verify_counting(max_n: int):
@@ -278,15 +261,10 @@ def _verify_counting(max_n: int):
     ternary_limit = max(2, min(8, max_n - 4))
     checked = 0
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
-        alphabet = Alphabet(d)
-        strings = [()]
-        for _ in range(limit):
-            strings = [s + (c,) for s in strings for c in range(d)]
-            for letters in strings:
-                s = LetterString(alphabet, letters)
-                if count_distinct(s) != len(enumerate_distinct(s)):
-                    return False, f"mismatch at {letters}"
-                checked += 1
+        for s in _all_strings(d, limit):
+            if count_distinct(s) != len(enumerate_distinct(s)):
+                return False, f"mismatch at {s.letters}"
+            checked += 1
     return True, f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"
 
 
@@ -341,14 +319,9 @@ def _verify_engines(max_n: int):
 
 def _verify_superpattern(max_n: int):
     top = min(max_n, 12)
-    alphabet = Alphabet(2)
-    strings = [()]
-    for _ in range(top):
-        strings = [s + (c,) for s in strings for c in range(2)]
-        for letters in strings:
-            s = LetterString(alphabet, letters)
-            if superpattern_k(s) != superpattern_k_bruteforce(s):
-                return False, f"greedy/brute mismatch at {letters}"
+    for s in _all_strings(2, top):
+        if superpattern_k(s) != superpattern_k_bruteforce(s):
+            return False, f"greedy/brute mismatch at {s.letters}"
     return True, f"all binary strings n<={top}"
 
 
@@ -371,8 +344,8 @@ def cmd_verify(args) -> int:
         lines.append((name, "PASS" if ok else "FAIL", detail))
     width = max(len(name) for name, _, _ in lines)
     for name, status, detail in lines:
-        _emit(f"{name.ljust(width)}  {status}  {detail}\n")
-    _emit(("all suites passed" if all_ok else "FAILURES above") + "\n")
+        sys.stdout.write(f"{name.ljust(width)}  {status}  {detail}\n")
+    sys.stdout.write(("all suites passed" if all_ok else "FAILURES above") + "\n")
     return 0 if all_ok else 1
 
 
@@ -381,7 +354,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tree_row(args) -> int:
     row = tree_row(args.d, args.n)
-    _emit(",".join(str(v) for v in row.values) + "\n")
+    sys.stdout.write(",".join(str(v) for v in row.values) + "\n")
     return 0
 
 
@@ -394,15 +367,8 @@ def cmd_superpattern(args) -> int:
             raise CliError("pass either a string or a model, not both")
         alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
         s = LetterString.from_text(args.string, alphabet)
-        k = superpattern_k(s)
-        if args.out == "json":
-            _emit(
-                dump_json(
-                    {"input": args.string, "d": s.alphabet.size, "n": len(s), "k": k}
-                )
-            )
-        else:
-            _emit(render_csv(["input", "d", "n", "k"], [[args.string, s.alphabet.size, len(s), k]]))
+        doc = {"input": args.string, "d": s.alphabet.size, "n": len(s), "k": superpattern_k(s)}
+        _emit(args.out, doc, list(doc), [doc])
         return 0
     if args.n is None:
         raise CliError("experiment mode needs --n (or pass a string)")
@@ -411,22 +377,17 @@ def cmd_superpattern(args) -> int:
         raise CliError("--trials must be at least 1")
     seed = _resolve_seed(args.seed)
     record = superpattern_experiment(model, args.n, args.trials, seed, workers=args.workers)
-    if args.out == "json":
-        _emit(
-            dump_json(
-                {
-                    "model": record.model,
-                    "n": record.n,
-                    "trials": record.trials,
-                    "seed": record.seed,
-                    "mean_k": record.mean_k,
-                    "mean_ratio": record.mean_ratio,
-                    "histogram": {str(k): c for k, c in record.histogram},
-                }
-            )
-        )
-        return 0
-    _emit(render_csv(["k", "count"], [[k, c] for k, c in record.histogram]))
+    doc = {
+        "model": record.model,
+        "n": record.n,
+        "trials": record.trials,
+        "seed": record.seed,
+        "mean_k": record.mean_k,
+        "mean_ratio": record.mean_ratio,
+        "histogram": {str(k): c for k, c in record.histogram},
+    }
+    rows = [{"k": k, "count": c} for k, c in record.histogram]
+    _emit(args.out, doc, ("k", "count"), rows)
     return 0
 
 
@@ -453,60 +414,44 @@ def cmd_solve(args) -> int:
         raise CliError("give exactly one of --balance, --threshold, --occurrences")
     if args.balance is not None:
         roots = solve_balance(args.balance)
-
-        def root_payload(r):
-            return {
-                "x": r.x,
-                "residual": r.residual,
-                "bracket": list(r.bracket),
-                "iterations": r.iterations,
-            }
-
-        payload = {
+        doc = {
             "equation": "2^x * x^x * (1-x)^(1-x) = target",
             "target": args.balance,
-            "lower": None if roots.lower is None else root_payload(roots.lower),
-            "upper": root_payload(roots.upper),
+            "lower": None if roots.lower is None else asdict(roots.lower),
+            "upper": asdict(roots.upper),
         }
-        _emit(dump_json(payload))
-        return 0
-    if args.threshold:
+    elif args.threshold:
         root = occurrence_threshold()
-        _emit(
-            dump_json(
-                {
-                    "equation": "H2(x) = x",
-                    "x": root.x,
-                    "residual": root.residual,
-                    "iterations": root.iterations,
-                }
-            )
-        )
-        return 0
-    kv = _parse_kv(args.occurrences)
-    missing = {"n", "pattern", "alpha"} - set(kv)
-    if missing:
-        raise CliError(f"--occurrences needs {' '.join(sorted(missing))}")
-    try:
-        n = int(kv["n"])
-    except ValueError:
-        raise CliError(f"n must be an integer, got {kv['n']!r}") from None
-    log_space = kv.get("log", "false").lower() in ("1", "true", "yes")
-    probs = [parse_probability(tok, exact=False) for tok in kv["alpha"].split(",")]
-    model = IIDModel.binary(probs[0]) if len(probs) == 1 else IIDModel(tuple(probs))
-    pattern = LetterString.from_text(kv["pattern"], Alphabet(model.d))
-    value = expected_occurrences(n, pattern, model, log_space=log_space)
-    _emit(
-        dump_json(
-            {
-                "n": n,
-                "pattern": kv["pattern"],
-                "model": model.describe(),
-                "log_space": log_space,
-                "expected": value,
-            }
-        )
-    )
+        doc = {
+            "equation": "H2(x) = x",
+            "x": root.x,
+            "residual": root.residual,
+            "iterations": root.iterations,
+        }
+    else:
+        kv = _parse_kv(args.occurrences)
+        missing = {"n", "pattern", "alpha"} - set(kv)
+        if missing:
+            raise CliError(f"--occurrences needs {' '.join(sorted(missing))}")
+        try:
+            n = int(kv["n"])
+        except ValueError:
+            raise CliError(f"n must be an integer, got {kv['n']!r}") from None
+        log_space = _BOOLEANS.get(kv.get("log", "false").lower())
+        if log_space is None:
+            raise CliError(f"log must be true/false/1/0/yes/no, got {kv['log']!r}")
+        probs = [parse_probability(tok, exact=False) for tok in kv["alpha"].split(",")]
+        model = IIDModel.binary(probs[0]) if len(probs) == 1 else IIDModel(tuple(probs))
+        pattern = LetterString.from_text(kv["pattern"], Alphabet(model.d))
+        value = expected_occurrences(n, pattern, model, log_space=log_space)
+        doc = {
+            "n": n,
+            "pattern": kv["pattern"],
+            "model": model.describe(),
+            "log_space": log_space,
+            "expected": value,
+        }
+    _emit("json", doc)
     return 0
 
 

@@ -9,19 +9,24 @@ order.
 Counts are computed as exact integers per trial. Once any count exceeds
 2**53 a float64 can no longer hold it exactly, so the estimate switches to
 log space and the record carries a flag saying so.
+
+numpy and the process pool are imported by the functions that use them,
+so importing the package (and every CLI command that does not sample)
+loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .models import IIDModel, MarkovModel
 from .strings import Alphabet, LetterString
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INT_EXACT_MAX",
@@ -49,11 +54,15 @@ def _check_seed(seed: int) -> None:
 
 def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     """Independent Philox stream for one trial of one experiment."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, trial))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def _sample_letters(model, n: int, rng: np.random.Generator) -> list[int]:
+    import numpy as np
+
     if isinstance(model, IIDModel):
         cum = np.cumsum([float(p) for p in model.probs])
         idx = np.searchsorted(cum, rng.random(n), side="right")
@@ -135,6 +144,8 @@ def _run_trials(fn, model, n, trials, seed, stream, workers) -> list[int]:
     """
     if workers <= 1:
         return fn(model, n, seed, stream, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = -(-trials // workers)
     bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -184,6 +195,8 @@ def estimate_expected_count(
     error runs over the trial-ordered array with numpy's pairwise summation,
     so the output does not depend on the worker split.
     """
+    import numpy as np  # before _run_trials forks, so the workers inherit it
+
     _check_seed(seed)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
@@ -229,6 +242,8 @@ def fit_growth_rate(ns, log_values, degenerate_eps: float = DEGENERATE_SLOPE_EPS
     still show a small positive slope on a finite grid, and the threshold
     folds those onto the degenerate constant.
     """
+    import numpy as np
+
     ns = [int(x) for x in ns]
     if len(set(ns)) < 3:
         raise ValueError("growth fit needs at least 3 distinct grid lengths")
@@ -314,6 +329,8 @@ def superpattern_experiment(
     model, n: int, trials: int, seed: int, workers: int = 1, stream: int = 0
 ) -> SuperpatternRecord:
     """Sample the superpattern statistic: histogram, mean, and mean of k/n."""
+    import numpy as np  # before _run_trials forks, so the workers inherit it
+
     _check_seed(seed)
     if trials < 1:
         raise ValueError("need at least 1 trial")

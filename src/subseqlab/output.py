@@ -1,9 +1,9 @@
 """Deterministic machine-readable output.
 
-Floats are printed with 17 significant digits (round-trip exact), exact
-rationals as "p/q" strings, CSV per RFC 4180 with a mandatory header row.
-JSON objects keep insertion order, so a fixed input yields byte-identical
-output.
+One scalar format serves both layouts: floats with 17 significant digits
+(round-trip exact), exact rationals as "p/q" (a JSON string), booleans as
+true/false. CSV follows RFC 4180 with a mandatory header row. JSON objects
+keep insertion order, so a fixed input yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,37 +13,27 @@ import io
 import json as _json
 from fractions import Fraction
 
-__all__ = ["fmt_float", "fmt_scalar", "dump_json", "render_csv"]
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+__all__ = ["dump_json", "render_csv"]
 
 
 def fmt_scalar(v) -> str:
-    """Canonical cell string for CSV output."""
+    """Canonical text of a scalar: a CSV cell, or a JSON atom before quoting."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
-        return fmt_float(v)
+        return format(float(v), ".17g")
     return str(v)
 
 
 def _atom(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return fmt_float(v)
-    if isinstance(v, Fraction):
-        return _json.dumps(f"{v.numerator}/{v.denominator}")
-    if isinstance(v, str):
-        return _json.dumps(v)
+    if isinstance(v, (bool, int, float)):
+        return fmt_scalar(v)
+    if isinstance(v, (Fraction, str)):
+        return _json.dumps(fmt_scalar(v))
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 

@@ -156,6 +156,22 @@ def test_simulate_single_length(capsys):
     assert fields[0] == "12" and fields[3] == "200" and fields[4] == "4"
 
 
+def test_simulate_csv_flags_log_space(capsys):
+    """Past 2**53 the mean is ln(mean); the CSV says so in a log_space column."""
+    base = ("simulate", "--model", "iid", "--probs", "0.5,0.5", "--trials", "3", "--seed", "1")
+    code, out, _ = run_cli(capsys, *base, "--n", "1100")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "n,mean,stderr,trials,seed,log_space"
+    assert row.startswith("1100,438.8") and row.endswith(",3,1,true")
+    code, out, _ = run_cli(capsys, *base, "--grid", "10:1100:1090")
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()] == ["log_space", "false", "true"]
+    code, out, _ = run_cli(capsys, *base, "--n", "10")
+    assert code == 0
+    assert out.splitlines()[0] == "n,mean,stderr,trials,seed"
+
+
 def test_simulate_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv(ENV_SEED, "9")
     code, out, _ = run_cli(
@@ -274,13 +290,20 @@ def test_solve_occurrences(capsys):
 
 
 def test_solve_occurrences_log(capsys):
-    code, out, _ = run_cli(
+    for text, flag in (("true", True), ("YES", True), ("1", True), ("no", False), ("0", False)):
+        code, out, _ = run_cli(
+            capsys, "solve", "--occurrences", "n=20", "pattern=1111111111",
+            "alpha=0.5", f"log={text}",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["log_space"] is flag
+    code, out, err = run_cli(
         capsys, "solve", "--occurrences", "n=20", "pattern=1111111111",
-        "alpha=0.5", "log=true",
+        "alpha=0.5", "log=maybe",
     )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["log_space"] is True
+    assert (code, out) == (1, "")
+    assert "'maybe'" in err
 
 
 def test_solve_requires_exactly_one_task(capsys):
@@ -345,3 +368,54 @@ def test_simulate_workers_do_not_change_bytes():
         "--n", "14", "--trials", "90", "--seed", "13",
     )
     assert _cli_bytes(*base, "--workers", "1") == _cli_bytes(*base, "--workers", "3")
+
+
+def test_importing_the_cli_skips_numpy():
+    code = "import subseqlab.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# Exact stdout of each layout the emitter writes: JSON nesting, indentation
+# and key order, inline scalar lists, exact rationals, and one-row CSV.
+LAYOUTS = [
+    (
+        ("count", "0101", "--with-empty", "--profile", "--out", "json"),
+        '{\n  "rows": [\n    {\n      "input": "0101",\n      "n": 4,\n'
+        '      "phi": 11,\n      "phi_with_empty": 12,\n      "profile": [1, 2, 3, 5]\n'
+        "    }\n  ]\n}\n",
+    ),
+    (
+        ("expect", "--engine", "matrix", "--probs", "1/2,1/2", "--exact", "--n", "3",
+         "--out", "json"),
+        '{\n  "engine": "matrix",\n  "model": "iid(1/2,1/2)",\n  "mode": "exact",\n'
+        '  "n": 3,\n  "values": ["1/1", "5/2", "19/4"]\n}\n',
+    ),
+    (("superpattern", "0101"), "input,d,n,k\n0101,2,4,2\n"),
+    (
+        ("superpattern", "0101", "--out", "json"),
+        '{\n  "input": "0101",\n  "d": 2,\n  "n": 4,\n  "k": 2\n}\n',
+    ),
+    (
+        ("solve", "--threshold"),
+        '{\n  "equation": "H2(x) = x",\n  "x": 0.77290780478065768,\n'
+        '  "residual": -1.6209256159527285e-14,\n  "iterations": 43\n}\n',
+    ),
+    (
+        # alpha = 1 samples only 1s, so every count is n and the row is fixed
+        ("simulate", "--model", "iid", "--alpha", "1", "--n", "5", "--trials", "2",
+         "--seed", "3", "--out", "json"),
+        '{\n  "model": "iid(0.0,1.0)",\n  "rows": [\n    {\n      "n": 5,\n'
+        '      "mean": 5,\n      "stderr": 0,\n      "trials": 2,\n      "seed": 3,\n'
+        '      "log_space": false\n    }\n  ]\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", LAYOUTS,
+    ids=["count-json", "expect-json", "superpattern-csv", "superpattern-json", "solve",
+         "simulate-json"],
+)
+def test_output_layouts(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, expected)
