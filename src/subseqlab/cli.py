@@ -394,12 +394,16 @@ def cmd_superpattern(args) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _parse_kv(tokens: list[str]) -> dict[str, str]:
+def _parse_kv(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep or not key or not value:
             raise CliError(f"expected key=value, got {tok!r}")
+        if key not in keys:
+            raise CliError(f"unknown key {key!r}; expected one of {', '.join(keys)}")
+        if key in out:
+            raise CliError(f"key {key!r} given more than once")
         out[key] = value
     return out
 
@@ -429,7 +433,7 @@ def cmd_solve(args) -> int:
             "iterations": root.iterations,
         }
     else:
-        kv = _parse_kv(args.occurrences)
+        kv = _parse_kv(args.occurrences, ("n", "pattern", "alpha", "log"))
         missing = {"n", "pattern", "alpha"} - set(kv)
         if missing:
             raise CliError(f"--occurrences needs {' '.join(sorted(missing))}")

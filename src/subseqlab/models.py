@@ -77,11 +77,6 @@ class IIDModel:
     def as_floats(self) -> "IIDModel":
         return IIDModel(tuple(float(p) for p in self.probs))
 
-    def as_fractions(self) -> "IIDModel":
-        if not self.is_exact:
-            raise ValueError("model probabilities are not exact rationals")
-        return IIDModel(tuple(Fraction(p) for p in self.probs))
-
     def letter_source(self) -> tuple:
         """``(start, steps)`` with one hidden state: ``steps[c] = [[p_c]]``.
 
@@ -114,6 +109,11 @@ class MarkovModel:
             raise ValueError(
                 "alpha=1, beta=0 has no stationary start (both states absorbing)"
             )
+
+    @property
+    def d(self) -> int:
+        """Alphabet size: the chain is binary."""
+        return 2
 
     @property
     def is_exact(self) -> bool:

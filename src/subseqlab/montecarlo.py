@@ -6,6 +6,11 @@ a fixed seed gives bit-identical results no matter how trials are split
 across workers. Reductions always run over the per-trial values in trial
 order.
 
+Every trial runs through one loop, :func:`_trials`, which samples the
+trial's letters and applies a statistic to them: the counting kernel that
+also backs :func:`subseqlab.strings.count_distinct`, or the greedy rounds
+of the superpattern statistic.
+
 Counts are computed as exact integers per trial. Once any count exceeds
 2**53 a float64 can no longer hold it exactly, so the estimate switches to
 log space and the record carries a flag saying so.
@@ -18,12 +23,13 @@ loads neither.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .models import IIDModel, MarkovModel
-from .strings import Alphabet, LetterString
+from .strings import Alphabet, LetterString, _count_distinct_fast
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,9 +53,13 @@ INT_EXACT_MAX = 2**53
 MAX_SEED = 2**64
 
 
-def _check_seed(seed: int) -> None:
+def _check_run(n: int, trials: int, seed: int, min_trials: int, too_few: str) -> None:
     if not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    if trials < min_trials:
+        raise ValueError(too_few)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -85,24 +95,8 @@ def sample_string(model, n: int, rng: np.random.Generator) -> LetterString:
     """One random string of length n drawn from the model."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = model.d if isinstance(model, IIDModel) else 2
-    return LetterString(Alphabet(d), tuple(_sample_letters(model, n, rng)))
-
-
-def _count_distinct_fast(letters: list[int], d: int) -> int:
-    # Same recurrence as strings.IncrementalCounter, unrolled for the hot loop.
-    total = 0
-    seen = [False] * d
-    base = [0] * d
-    for c in letters:
-        if seen[c]:
-            nu = total - base[c]
-        else:
-            nu = total + 1
-            seen[c] = True
-        base[c] = total
-        total += nu
-    return total
+    letters = tuple(_sample_letters(model, n, rng))
+    return LetterString(Alphabet(model.d), letters)
 
 
 def _greedy_rounds(letters: list[int], d: int) -> int:
@@ -116,40 +110,33 @@ def _greedy_rounds(letters: list[int], d: int) -> int:
     return k
 
 
-def _model_d(model) -> int:
-    return model.d if isinstance(model, IIDModel) else 2
-
-
-def _phi_trials(model, n, seed, stream, lo, hi) -> list[int]:
-    d = _model_d(model)
+def _trials(stat, model, n, seed, stream, lo, hi) -> list[int]:
+    """``stat(letters, d)`` for trials lo..hi-1, each on its own stream."""
+    d = model.d
     return [
-        _count_distinct_fast(_sample_letters(model, n, trial_rng(seed, t, stream)), d)
+        stat(_sample_letters(model, n, trial_rng(seed, t, stream)), d)
         for t in range(lo, hi)
     ]
 
 
-def _k_trials(model, n, seed, stream, lo, hi) -> list[int]:
-    d = _model_d(model)
-    return [
-        _greedy_rounds(_sample_letters(model, n, trial_rng(seed, t, stream)), d)
-        for t in range(lo, hi)
-    ]
-
-
-def _run_trials(fn, model, n, trials, seed, stream, workers) -> list[int]:
+def _run_trials(stat, model, n, trials, seed, stream, workers) -> list[int]:
     """Per-trial values in trial order, optionally computed across processes.
 
-    Each trial's value depends only on (seed, stream, trial index), so any
-    chunking returns the identical list.
+    The trials are split into at most one chunk per worker and per CPU, and
+    the pool gets one process per chunk. Each trial's value depends only on
+    (seed, stream, trial index), so any chunking returns the identical list.
     """
-    if workers <= 1:
-        return fn(model, n, seed, stream, 0, trials)
+    parts = min(workers, os.cpu_count() or 1)
+    if parts <= 1:
+        return _trials(stat, model, n, seed, stream, 0, trials)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-trials // workers)
+    chunk = -(-trials // parts)
     bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, model, n, seed, stream, lo, hi) for lo, hi in bounds]
+    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
+        futures = [
+            pool.submit(_trials, stat, model, n, seed, stream, lo, hi) for lo, hi in bounds
+        ]
         return [v for f in futures for v in f.result()]
 
 
@@ -197,12 +184,8 @@ def estimate_expected_count(
     """
     import numpy as np  # before _run_trials forks, so the workers inherit it
 
-    _check_seed(seed)
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    phis = _run_trials(_phi_trials, model, n, trials, seed, stream, workers)
+    _check_run(n, trials, seed, 2, "need at least 2 trials for a standard error")
+    phis = _run_trials(_count_distinct_fast, model, n, trials, seed, stream, workers)
     if max(phis) <= INT_EXACT_MAX:
         arr = np.array(phis, dtype=np.float64)
         mean = float(arr.mean())
@@ -223,9 +206,6 @@ class GrowthFit:
     slope: float
     intercept: float
     r_squared: float
-    residuals: tuple[float, ...]
-    ns: tuple[int, ...]
-    log_values: tuple[float, ...]
     clamped: bool
     records: tuple = ()
 
@@ -233,11 +213,11 @@ class GrowthFit:
 DEGENERATE_SLOPE_EPS = 0.05
 
 
-def fit_growth_rate(ns, log_values, degenerate_eps: float = DEGENERATE_SLOPE_EPS) -> GrowthFit:
+def fit_growth_rate(ns, log_values) -> GrowthFit:
     """Fit ``log(value) = slope * n + intercept``; the growth constant is
     ``exp(slope)``.
 
-    Slopes below ``log(1 + degenerate_eps)`` are reported as c = 1: values
+    Slopes below ``log(1 + DEGENERATE_SLOPE_EPS)`` are reported as c = 1: values
     that grow polynomially (constant strings give counts growing like n)
     still show a small positive slope on a finite grid, and the threshold
     folds those onto the degenerate constant.
@@ -256,16 +236,13 @@ def fit_growth_rate(ns, log_values, degenerate_eps: float = DEGENERATE_SLOPE_EPS
     ss_res = float((resid**2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    clamped = bool(slope < math.log1p(degenerate_eps))
+    clamped = bool(slope < math.log1p(DEGENERATE_SLOPE_EPS))
     c = 1.0 if clamped else float(math.exp(slope))
     return GrowthFit(
         c=c,
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r_squared,
-        residuals=tuple(float(v) for v in resid),
-        ns=tuple(ns),
-        log_values=tuple(float(v) for v in y),
         clamped=clamped,
     )
 
@@ -321,9 +298,6 @@ class SuperpatternRecord:
     mean_k: float
     mean_ratio: float
 
-    def histogram_dict(self) -> dict[int, int]:
-        return dict(self.histogram)
-
 
 def superpattern_experiment(
     model, n: int, trials: int, seed: int, workers: int = 1, stream: int = 0
@@ -331,12 +305,8 @@ def superpattern_experiment(
     """Sample the superpattern statistic: histogram, mean, and mean of k/n."""
     import numpy as np  # before _run_trials forks, so the workers inherit it
 
-    _check_seed(seed)
-    if trials < 1:
-        raise ValueError("need at least 1 trial")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ks = _run_trials(_k_trials, model, n, trials, seed, stream, workers)
+    _check_run(n, trials, seed, 1, "need at least 1 trial")
+    ks = _run_trials(_greedy_rounds, model, n, trials, seed, stream, workers)
     hist = tuple(sorted(Counter(ks).items()))
     mean_k = float(np.mean(np.array(ks, dtype=np.float64)))
     mean_ratio = mean_k / n if n else 0.0

@@ -8,6 +8,13 @@ subsequence, :func:`count_distinct_with_empty` adds one for it.
 Letters are integers ``0..d-1``. Counts are plain Python ints, which are
 arbitrary precision; a length-n binary string can reach ``2**n - 1``
 distinct subsequences, far past any fixed-width integer.
+
+The counting recurrence lives here once, in two forms: the batch kernel
+:func:`_count_distinct_fast` (behind :func:`count_distinct` and the Monte
+Carlo samplers) and the streaming :class:`IncrementalCounter` (behind the
+profiles, the oracle walks and the tree rows). Both store, per letter, the
+running total just before its last occurrence, with -1 for a letter not
+seen yet, so ``nu = total - before_last[c]`` needs no branch.
 """
 
 from __future__ import annotations
@@ -159,26 +166,22 @@ class IncrementalCounter:
     subsequences.
 
     The recurrence, for letter c arriving after i-1 earlier letters: the new
-    count equals the sum of the new counts since c's previous occurrence when
-    c occurred before, and the running total plus one otherwise. Keeping, for
-    each letter, the running total just before its last occurrence makes each
-    push O(1) big-integer additions.
+    count is the running total minus the running total just before c's
+    previous occurrence, taken as -1 when c has not occurred (so a new
+    letter adds the total plus one). Keeping that saved total per letter
+    makes each push O(1) big-integer additions. The state is a dict keyed
+    by the letters seen, so its size never depends on the alphabet's.
 
     Single writer only; use :meth:`snapshot` / :meth:`restore` to backtrack
     during tree walks instead of copying the counter.
     """
 
-    __slots__ = ("alphabet", "_total", "_before_last", "_length")
+    __slots__ = ("alphabet", "_total", "_before_last")
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self._total = 0
         self._before_last: dict[int, int] = {}
-        self._length = 0
-
-    @property
-    def length(self) -> int:
-        return self._length
 
     @property
     def total(self) -> int:
@@ -188,22 +191,34 @@ class IncrementalCounter:
     def push(self, letter: int) -> tuple[int, int]:
         """Append one letter; returns ``(new_count, running_total)``."""
         self.alphabet.check_letter(letter)
-        base = self._before_last.get(letter)
-        nu = self._total + 1 if base is None else self._total - base
+        nu = self._total - self._before_last.get(letter, -1)
         self._before_last[letter] = self._total
         self._total += nu
-        self._length += 1
         return nu, self._total
 
     def snapshot(self):
         """Opaque state token; pass back to :meth:`restore` to rewind."""
-        return self._total, self._length, dict(self._before_last)
+        return self._total, dict(self._before_last)
 
     def restore(self, state) -> None:
-        total, length, before = state
+        total, before = state
         self._total = total
-        self._length = length
         self._before_last = dict(before)
+
+
+def _count_distinct_fast(letters, d: int) -> int:
+    """Distinct nonempty subsequences of ``letters``, each in ``0..d-1``.
+
+    The batch form of :meth:`IncrementalCounter.push` over a sequence of
+    letters, without letter checks; its table holds d entries.
+    """
+    total = 0
+    base = [-1] * d
+    for c in letters:
+        nu = total - base[c]
+        base[c] = total
+        total += nu
+    return total
 
 
 def new_subseq_counts(s: LetterString) -> NewCountProfile:
@@ -214,10 +229,15 @@ def new_subseq_counts(s: LetterString) -> NewCountProfile:
 
 def count_distinct(s: LetterString) -> int:
     """Number of distinct nonempty subsequences of ``s`` (0 for the empty string)."""
-    counter = IncrementalCounter(s.alphabet)
-    for x in s:
-        counter.push(x)
-    return counter.total
+    letters = s.letters
+    d = max(letters, default=-1) + 1
+    if d > len(letters):
+        # Renumber sparse letters densely (the count does not depend on
+        # their names), so the kernel's table is never longer than s.
+        dense: dict[int, int] = {}
+        letters = [dense.setdefault(c, len(dense)) for c in letters]
+        d = len(dense)
+    return _count_distinct_fast(letters, d)
 
 
 def count_distinct_with_empty(s: LetterString) -> int:

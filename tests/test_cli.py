@@ -304,6 +304,12 @@ def test_solve_occurrences_log(capsys):
     )
     assert (code, out) == (1, "")
     assert "'maybe'" in err
+    for extra, named in (("logspace=true", "'logspace'"), ("n=30", "'n'")):
+        code, out, err = run_cli(
+            capsys, "solve", "--occurrences", "n=20", "pattern=1", "alpha=0.5", extra,
+        )
+        assert (code, out) == (1, "")
+        assert named in err
 
 
 def test_solve_requires_exactly_one_task(capsys):

@@ -5,7 +5,9 @@ Every stochastic assertion here runs under a fixed seed, so the suite is
 deterministic; tolerances were chosen with 4-standard-error headroom.
 """
 
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -21,7 +23,14 @@ from subseqlab import (
     superpattern_experiment,
     trial_rng,
 )
-from subseqlab.montecarlo import MAX_SEED, superpattern_k
+from subseqlab.montecarlo import (
+    MAX_SEED,
+    _count_distinct_fast,
+    _greedy_rounds,
+    _trials,
+    superpattern_k,
+)
+from subseqlab.oracle import enumerate_distinct, superpattern_k_bruteforce
 
 
 def test_trial_rng_is_deterministic():
@@ -93,6 +102,53 @@ def test_estimate_is_worker_independent():
     one = estimate_expected_count(IIDModel.binary(0.5), 18, 400, seed=7)
     three = estimate_expected_count(IIDModel.binary(0.5), 18, 400, seed=7, workers=3)
     assert one == three
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 64])
+def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
+    """A huge worker count asks for no more processes than there are chunks,
+    and never more than the CPU count; the records do not change."""
+    asked = []
+
+    class InlinePool:
+        """Runs each chunk in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cap = min(3, os.cpu_count() or 1)
+    model = IIDModel.binary(0.5)
+    one = estimate_expected_count(model, 10, 3, seed=4)
+    assert estimate_expected_count(model, 10, 3, seed=4, workers=10**6) == one
+    k_one = superpattern_experiment(model, 10, 3, seed=4)
+    assert superpattern_experiment(model, 10, 3, seed=4, workers=10**6) == k_one
+    assert asked == ([cap] * 2 if cap > 1 else [])
+
+
+@pytest.mark.parametrize("model", [IIDModel((0.2, 0.5, 0.3)), MarkovModel(0.8, 0.3)])
+def test_trial_statistics_match_the_oracle(model):
+    """Each trial's count and superpattern k equal the brute-force values
+    on the string sample_string draws from the same stream."""
+    phis = _trials(_count_distinct_fast, model, 9, 13, 2, 0, 40)
+    ks = _trials(_greedy_rounds, model, 9, 13, 2, 0, 40)
+    for t in range(40):
+        s = sample_string(model, 9, trial_rng(13, t, stream=2))
+        assert phis[t] == len(enumerate_distinct(s))
+        assert ks[t] == superpattern_k_bruteforce(s)
 
 
 def test_estimate_streams_are_independent():

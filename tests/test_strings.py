@@ -1,5 +1,7 @@
 """Tests for the core string types and the distinct-subsequence counter."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ small_strings = st.integers(2, 4).flatmap(
     lambda d: st.lists(st.integers(0, d - 1), max_size=30).map(
         lambda xs: LetterString.from_letters(xs, Alphabet(d))
     )
+)
+counted_strings = st.one_of(
+    binary_letters.map(lambda xs: LetterString.from_letters(xs, BINARY)), small_strings
 )
 
 
@@ -94,15 +99,33 @@ def test_distinct_letters_always_contribute_total_plus_one():
     assert profile.counts == (1, 2, 4, 8)
 
 
-@given(binary_letters)
-@settings(max_examples=200)
-def test_incremental_matches_batch(letters):
-    """Pushing letters one by one agrees with the whole-string profile."""
-    s = LetterString.from_letters(letters, BINARY)
-    counter = IncrementalCounter(BINARY)
-    pushed = [counter.push(c)[0] for c in letters]
+@given(counted_strings)
+@settings(max_examples=300)
+def test_incremental_matches_batch(s):
+    """Pushing letters one by one agrees with the whole-string profile and
+    with the batch kernel behind count_distinct, over 2 to 4 letters."""
+    counter = IncrementalCounter(s.alphabet)
+    pushed = [counter.push(c)[0] for c in s]
     assert tuple(pushed) == new_subseq_counts(s).counts
     assert counter.total == count_distinct(s)
+
+
+@pytest.mark.parametrize("letters", [[0, 1, 0, 2], [0, 10**7 - 1, 0, 5]])
+def test_counting_memory_ignores_the_alphabet_size(letters):
+    """Neither count_distinct nor the counter allocates per alphabet letter,
+    nor per value of the largest letter."""
+    s = LetterString.from_letters(letters, Alphabet(10**7))
+    tracemalloc.start()
+    try:
+        assert count_distinct(s) == 13
+        counter = IncrementalCounter(s.alphabet)
+        for c in s:
+            counter.push(c)
+        assert counter.total == 13
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(binary_letters)
