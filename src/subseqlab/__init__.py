@@ -41,12 +41,10 @@ from .oracle import (
     ENUMERATION_MAX,
     EXHAUSTIVE_GUARD,
     SizeGuardError,
-    TreeRow,
     check_pair_structure,
     check_submultiplicativity,
     enumerate_distinct,
     exhaustive_expectation,
-    is_subsequence,
     superpattern_k_bruteforce,
     tree_row,
 )
@@ -55,9 +53,7 @@ from .strings import (
     Alphabet,
     IncrementalCounter,
     LetterString,
-    NewCountProfile,
     count_distinct,
-    count_distinct_with_empty,
     new_subseq_counts,
 )
 
@@ -67,11 +63,9 @@ __all__ = [
     "Alphabet",
     "BINARY",
     "LetterString",
-    "NewCountProfile",
     "IncrementalCounter",
     "new_subseq_counts",
     "count_distinct",
-    "count_distinct_with_empty",
     "IIDModel",
     "MarkovModel",
     "parse_probability",
@@ -83,13 +77,11 @@ __all__ = [
     "ENUMERATION_MAX",
     "EXHAUSTIVE_GUARD",
     "SizeGuardError",
-    "TreeRow",
     "enumerate_distinct",
     "exhaustive_expectation",
     "tree_row",
     "check_pair_structure",
     "check_submultiplicativity",
-    "is_subsequence",
     "superpattern_k_bruteforce",
     "EstimateRecord",
     "GrowthFit",

@@ -4,9 +4,11 @@ and the balance and threshold equations they lead to.
 The balance function ``g(x) = 2**x * x**x * (1-x)**(1-x)`` measures the
 exponential rate of the expected number of embeddings of a pattern of
 length x*n in a fair binary string of length n, normalised against a target
-rate; sub-unit targets are hit twice in (0, 1). The threshold where the
-expected embedding count itself drops below one solves ``H(x) = x`` with H
-the base-2 binary entropy.
+rate; its minimum 2/3 sits at x = 1/3 in closed form, and sub-unit
+targets above it are hit twice in (0, 1). The threshold where the expected
+embedding count itself drops below one solves ``H(x) = x`` with H the
+base-2 binary entropy. Expected counts of IID models are one exact
+product, rounded to a float once, for float and Fraction models alike.
 """
 
 from __future__ import annotations
@@ -107,32 +109,13 @@ def _bisect(f, lo: float, hi: float, target: float = 0.0, xtol: float = BRACKET_
     return RootResult(x, f(x) - target, (lo, hi), iterations)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section minimiser of a unimodal f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def balance_minimum() -> tuple[float, float]:
     """Location and value of the interior minimum of the balance function.
 
-    Found by golden-section search; analytically the minimiser solves
-    ``x / (1 - x) = 1/2``, i.e. x = 1/3 with g(1/3) = 2/3.
+    The derivative of ``ln g``, ``ln 2 + ln(x / (1 - x))``, vanishes where
+    ``x / (1 - x) = 1/2``, so the minimiser is x = 1/3 with g(1/3) = 2/3.
     """
-    x_min = _golden_min(balance_value, _EDGE, 1.0 - _EDGE)
+    x_min = 1.0 / 3.0
     return x_min, balance_value(x_min)
 
 
@@ -141,10 +124,9 @@ def solve_balance(target: float) -> BalanceRoots:
 
     g decreases from 1 (its limit at 0) to the interior minimum 2/3 at
     x = 1/3, then increases to 2 at x = 1, so each target in (2/3, 1) is hit
-    once per branch. The minimiser is located by golden-section search and
-    each monotone branch is bisected to a 1e-13 bracket. target = 1 is
-    reached only on the increasing branch (lower is None); targets below
-    the minimum have no root and raise.
+    once per branch, and each monotone branch is bisected to a 1e-13
+    bracket. target = 1 is reached only on the increasing branch (lower is
+    None); targets below the minimum have no root and raise.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target must lie in (0, 1], got {target!r}")
@@ -182,12 +164,17 @@ def expected_occurrences(
     random string of length n.
 
     Equals ``C(n, k)`` times the product of the pattern's letter
-    probabilities, with k the pattern length. Computed with exact
-    big-integer binomials (and exact rational weights for exact models),
-    then converted to float. ``log_space=True`` returns the natural log
-    instead, with -inf for zero-probability patterns; use it once the plain
-    value overflows floats.
+    probabilities, with k the pattern length. Computed exactly, as a
+    big-integer binomial times the product of the probabilities as
+    Fractions (a float converts to a Fraction exactly), and rounded to a
+    float once. ``log_space=True`` returns the natural log instead, with
+    -inf for zero-probability patterns; use it once the plain value
+    overflows floats.
     """
+    if not isinstance(model, IIDModel):
+        raise TypeError(
+            f"expected occurrences need an IIDModel, got {type(model).__name__}"
+        )
     k = len(pattern)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -206,17 +193,11 @@ def expected_occurrences(
                 return -math.inf
             total += math.log(p)
         return total
-    comb = math.comb(n, k)
+    weight = Fraction(1)
+    for letter in pattern:
+        weight *= Fraction(model.probs[letter])
     try:
-        if model.is_exact:
-            weight = Fraction(1)
-            for letter in pattern:
-                weight *= Fraction(model.probs[letter])
-            return float(comb * weight)
-        weight_f = 1.0
-        for letter in pattern:
-            weight_f *= float(model.probs[letter])
-        return float(comb) * weight_f
+        return float(math.comb(n, k) * weight)
     except OverflowError:
         raise ValueError(
             "expected count overflows a float; call with log_space=True"

@@ -153,9 +153,10 @@ def cmd_count(args) -> int:
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}") from None
         profile = new_subseq_counts(s)
-        row = {"input": text, "n": len(s), "phi": profile.total}
+        phi = sum(profile)
+        row = {"input": text, "n": len(s), "phi": phi}
         if args.with_empty:
-            row["phi_with_empty"] = profile.total + 1
+            row["phi_with_empty"] = phi + 1
         if args.profile:
             row["profile"] = list(profile)
         rows.append(row)
@@ -231,7 +232,7 @@ def cmd_simulate(args) -> int:
             estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
             for idx, n in enumerate(ns)
         ]
-    rows = [{k: v for k, v in asdict(r).items() if k != "model"} for r in records]
+    rows = [asdict(r) for r in records]
     doc = {"model": model.describe(), "rows": rows}
     if fit is not None:
         doc["fit"] = fit
@@ -271,9 +272,9 @@ def _verify_counting(max_n: int):
 def _verify_rows():
     binary_rows = [(0,), (1, 1), (1, 2, 2, 1), (1, 3, 3, 2, 2, 3, 3, 1)]
     for n, expected in enumerate(binary_rows):
-        if tree_row(2, n).values != expected:
+        if tree_row(2, n) != expected:
             return False, f"binary row {n} mismatch"
-    if tree_row(3, 2).values != (1, 2, 2, 2, 1, 2, 2, 2, 1):
+    if tree_row(3, 2) != (1, 2, 2, 2, 1, 2, 2, 2, 1):
         return False, "ternary row 2 mismatch"
     return True, "4 binary rows, 1 ternary row"
 
@@ -354,7 +355,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tree_row(args) -> int:
     row = tree_row(args.d, args.n)
-    sys.stdout.write(",".join(str(v) for v in row.values) + "\n")
+    sys.stdout.write(",".join(str(v) for v in row) + "\n")
     return 0
 
 
@@ -378,7 +379,7 @@ def cmd_superpattern(args) -> int:
     seed = _resolve_seed(args.seed)
     record = superpattern_experiment(model, args.n, args.trials, seed, workers=args.workers)
     doc = {
-        "model": record.model,
+        "model": model.describe(),
         "n": record.n,
         "trials": record.trials,
         "seed": record.seed,

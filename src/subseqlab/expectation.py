@@ -51,9 +51,6 @@ class ExpectationSeries:
     def final(self):
         return self.values[-1]
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
-
 
 def closed_form_binary(alpha, n: int) -> float:
     """Expected distinct nonempty subsequences of an IID binary string.

@@ -156,7 +156,6 @@ class EstimateRecord:
     stderr: float
     trials: int
     seed: int
-    model: str
     log_space: bool = False
 
     def log_mean(self) -> float:
@@ -190,12 +189,12 @@ def estimate_expected_count(
         arr = np.array(phis, dtype=np.float64)
         mean = float(arr.mean())
         stderr = float(arr.std(ddof=1) / math.sqrt(trials))
-        return EstimateRecord(n, mean, stderr, trials, seed, model.describe(), False)
+        return EstimateRecord(n, mean, stderr, trials, seed, False)
     logs = np.array([math.log(p) for p in phis], dtype=np.float64)
     peak = float(logs.max())
     log_mean = peak + math.log(float(np.exp(logs - peak).mean()))
     stderr = float(logs.std(ddof=1) / math.sqrt(trials))
-    return EstimateRecord(n, log_mean, stderr, trials, seed, model.describe(), True)
+    return EstimateRecord(n, log_mean, stderr, trials, seed, True)
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,6 @@ class SuperpatternRecord:
     n: int
     trials: int
     seed: int
-    model: str
     histogram: tuple[tuple[int, int], ...]
     mean_k: float
     mean_ratio: float
@@ -314,7 +312,6 @@ def superpattern_experiment(
         n=n,
         trials=trials,
         seed=seed,
-        model=model.describe(),
         histogram=hist,
         mean_k=mean_k,
         mean_ratio=mean_ratio,

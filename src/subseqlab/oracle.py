@@ -4,14 +4,13 @@ Everything here trades time for transparency: subsequence sets are built
 explicitly, expectations sum over every possible string in exact
 arithmetic, and structural identities are checked row by row. One
 depth-first walk over the prefix tree, with integer path weights, serves
-both the tree rows and the exhaustive expectations. Size guards keep the
-exponential enumerations inside a sane budget and raise
-:class:`SizeGuardError` beyond it.
+both the tree rows (plain tuples of new counts) and the exhaustive
+expectations. Size guards keep the exponential enumerations inside a sane
+budget and raise :class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -24,13 +23,11 @@ __all__ = [
     "ENUMERATION_MAX",
     "EXHAUSTIVE_GUARD",
     "SizeGuardError",
-    "TreeRow",
     "enumerate_distinct",
     "exhaustive_expectation",
     "tree_row",
     "check_pair_structure",
     "check_submultiplicativity",
-    "is_subsequence",
     "superpattern_k_bruteforce",
 ]
 
@@ -70,21 +67,6 @@ def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
     return subs
 
 
-@dataclass(frozen=True)
-class TreeRow:
-    """One row of the complete d-ary prefix tree of new-subsequence counts.
-
-    ``values[m]`` is the new count at the final letter of the m-th length-n
-    string, in the tree's left-to-right order: children are appended in
-    decreasing letter order, so the leftmost branch is the all-(d-1) string.
-    For binary rows that reads 11..1 first and 00..0 last.
-    """
-
-    d: int
-    n: int
-    values: tuple[int, ...]
-
-
 def _walk(start, steps, n: int, visit) -> None:
     """Depth-first walk over every string of length 1..n with nonzero weight.
 
@@ -117,11 +99,15 @@ def _walk(start, steps, n: int, visit) -> None:
         down(1, start, 1)
 
 
-def tree_row(d: int, n: int) -> TreeRow:
-    """Row ``n`` of new-subsequence counts over alphabet size ``d``.
+def tree_row(d: int, n: int) -> tuple[int, ...]:
+    """Row ``n`` of the complete d-ary prefix tree of new-subsequence counts.
 
-    Row 0 is the empty string with value 0. Row n is the walk with every
-    weight 1, keeping the new counts at depth n: O(d**n) pushes in total.
+    Entry m is the new count at the final letter of the m-th length-n
+    string, in the tree's left-to-right order: children are appended in
+    decreasing letter order, so the leftmost branch is the all-(d-1) string.
+    For binary rows that reads 11..1 first and 00..0 last. Row 0 is the
+    empty string with value 0. Row n is the walk with every weight 1,
+    keeping the new counts at depth n: O(d**n) pushes in total.
     """
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
@@ -135,7 +121,7 @@ def tree_row(d: int, n: int) -> TreeRow:
 
     ones = (1,) * d
     _walk(ones, (ones,) * d, n, keep)
-    return TreeRow(d, n, tuple(values))
+    return tuple(values)
 
 
 def _require_exact(model) -> None:
@@ -205,8 +191,8 @@ def check_pair_structure(n: int) -> bool:
     if n < 2:
         raise ValueError("pair structure checks need n >= 2")
     _guard_power(2, n)
-    row = tree_row(2, n).values
-    parent = tree_row(2, n - 1).values
+    row = tree_row(2, n)
+    parent = tree_row(2, n - 1)
     for m in range(2, 2**n, 2):
         first, second = row[m - 1], row[m]
         if first != second:
@@ -242,12 +228,6 @@ def check_submultiplicativity(model: IIDModel, n: int, m: int) -> bool:
         return series.value_at(i) + 1
 
     return psi(n + m) <= psi(n) * psi(m)
-
-
-def is_subsequence(pattern, letters) -> bool:
-    """Two-pointer containment check on plain int sequences."""
-    it = iter(letters)
-    return all(p in it for p in pattern)
 
 
 def superpattern_k_bruteforce(s: LetterString) -> int:

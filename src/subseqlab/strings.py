@@ -3,7 +3,7 @@
 A subsequence is obtained by deleting letters at any positions; each
 distinct value is counted once no matter how many ways it embeds. Counts
 follow the nonempty convention: :func:`count_distinct` excludes the empty
-subsequence, :func:`count_distinct_with_empty` adds one for it.
+subsequence, so the empty-inclusive count is one more.
 
 Letters are integers ``0..d-1``. Counts are plain Python ints, which are
 arbitrary precision; a length-n binary string can reach ``2**n - 1``
@@ -12,7 +12,8 @@ distinct subsequences, far past any fixed-width integer.
 The counting recurrence lives here once, in two forms: the batch kernel
 :func:`_count_distinct_fast` (behind :func:`count_distinct` and the Monte
 Carlo samplers) and the streaming :class:`IncrementalCounter` (behind the
-profiles, the oracle walks and the tree rows). Both store, per letter, the
+per-letter profiles of :func:`new_subseq_counts`, the oracle walks and the
+tree rows). Both store, per letter, the
 running total just before its last occurrence, with -1 for a letter not
 seen yet, so ``nu = total - before_last[c]`` needs no branch.
 """
@@ -26,11 +27,9 @@ __all__ = [
     "Alphabet",
     "BINARY",
     "LetterString",
-    "NewCountProfile",
     "IncrementalCounter",
     "new_subseq_counts",
     "count_distinct",
-    "count_distinct_with_empty",
 ]
 
 
@@ -113,50 +112,6 @@ class LetterString:
         """Copy with one letter appended."""
         return LetterString(self.alphabet, self.letters + (letter,))
 
-    def relabeled(self, permutation) -> "LetterString":
-        """Apply an alphabet permutation (``permutation[old] = new``) letterwise."""
-        return LetterString(self.alphabet, tuple(permutation[x] for x in self.letters))
-
-    def as_text(self) -> str:
-        if self.alphabet.size <= 10:
-            return "".join(str(x) for x in self.letters)
-        return ",".join(str(x) for x in self.letters)
-
-
-@dataclass(frozen=True)
-class NewCountProfile:
-    """Per-letter counts of subsequences that are new at each prefix.
-
-    ``counts[i]`` is the number of distinct subsequences of the length-(i+1)
-    prefix that are not subsequences of the length-i prefix. Every entry is
-    at least 1 (the prefix itself is always new), and the running totals are
-    the distinct-subsequence counts of the prefixes.
-    """
-
-    counts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-    @property
-    def total(self) -> int:
-        """Distinct nonempty subsequences of the whole string."""
-        return sum(self.counts)
-
-    def running_totals(self) -> tuple[int, ...]:
-        out: list[int] = []
-        acc = 0
-        for c in self.counts:
-            acc += c
-            out.append(acc)
-        return tuple(out)
-
 
 class IncrementalCounter:
     """Streaming counter of new and total distinct subsequences.
@@ -221,10 +176,17 @@ def _count_distinct_fast(letters, d: int) -> int:
     return total
 
 
-def new_subseq_counts(s: LetterString) -> NewCountProfile:
-    """New-subsequence count contributed by each letter of ``s``, in order."""
+def new_subseq_counts(s: LetterString) -> tuple[int, ...]:
+    """New-subsequence count contributed by each letter of ``s``, in order.
+
+    Entry i is the number of distinct subsequences of the length-(i+1)
+    prefix that are not subsequences of the length-i prefix. Every entry is
+    at least 1 (the prefix itself is always new), the running sums are the
+    distinct-subsequence counts of the prefixes, and the whole sum is
+    :func:`count_distinct` of ``s``.
+    """
     counter = IncrementalCounter(s.alphabet)
-    return NewCountProfile(tuple(counter.push(x)[0] for x in s))
+    return tuple(counter.push(x)[0] for x in s)
 
 
 def count_distinct(s: LetterString) -> int:
@@ -239,7 +201,3 @@ def count_distinct(s: LetterString) -> int:
         d = len(dense)
     return _count_distinct_fast(letters, d)
 
-
-def count_distinct_with_empty(s: LetterString) -> int:
-    """Distinct subsequences of ``s`` including the empty subsequence."""
-    return count_distinct(s) + 1

@@ -76,11 +76,11 @@ def test_c01_oracle_equivalence():
 
 @criterion(2, "contribution-tree rows match the hand-computed tables")
 def test_c02_tree_rows():
-    assert tree_row(2, 0).values == (0,)
-    assert tree_row(2, 1).values == (1, 1)
-    assert tree_row(2, 2).values == (1, 2, 2, 1)
-    assert tree_row(2, 3).values == (1, 3, 3, 2, 2, 3, 3, 1)
-    assert tree_row(3, 2).values == (1, 2, 2, 2, 1, 2, 2, 2, 1)
+    assert tree_row(2, 0) == (0,)
+    assert tree_row(2, 1) == (1, 1)
+    assert tree_row(2, 2) == (1, 2, 2, 1)
+    assert tree_row(2, 3) == (1, 3, 3, 2, 2, 3, 3, 1)
+    assert tree_row(3, 2) == (1, 2, 2, 2, 1, 2, 2, 2, 1)
     return "binary rows 0-3 and ternary row 2"
 
 

@@ -12,6 +12,7 @@ from subseqlab import (
     Alphabet,
     IIDModel,
     LetterString,
+    MarkovModel,
     balance_minimum,
     balance_value,
     binary_entropy,
@@ -51,10 +52,14 @@ def test_balance_entropy_identity(x):
 
 
 def test_balance_minimum_location():
-    """The minimum sits at x = 1/3 with value 2/3."""
+    """The minimum sits at x = 1/3 with value 2/3: g is larger on both sides."""
     x_min, g_min = balance_minimum()
-    assert abs(x_min - 1 / 3) < 1e-6
+    assert x_min == 1 / 3
+    assert g_min == balance_value(x_min)
     assert math.isclose(g_min, 2 / 3, rel_tol=1e-12)
+    for h in (0.2, 1e-2, 1e-4, 1e-6):
+        assert balance_value(x_min - h) > g_min
+        assert balance_value(x_min + h) > g_min
 
 
 def test_solve_balance_two_roots():
@@ -151,3 +156,43 @@ def test_expected_occurrences_huge_n_needs_log_space():
     model = IIDModel.binary(0.5)
     log_value = expected_occurrences(100_000, pattern, model, log_space=True)
     assert math.isfinite(log_value)
+    with pytest.raises(ValueError, match="log_space=True"):
+        expected_occurrences(100_000, pattern, model)
+
+
+def test_expected_occurrences_past_float_range_of_the_binomial():
+    """C(2000, 1000) overflows a float on its own, but times 2**-1000 the
+    count is about 1.9e299, the same for float and Fraction weights."""
+    pattern = LetterString.from_letters([1] * 1000, Alphabet(2))
+    for alpha in (0.5, Fraction(1, 2)):
+        value = expected_occurrences(2000, pattern, IIDModel.binary(alpha))
+        assert value == 1.9114653986474661e299
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_expected_occurrences_float_and_fraction_models_agree(alpha):
+    """Where a float model and a Fraction model hold the same number for
+    every letter a pattern uses, the counts are equal: one exact product,
+    rounded once. Below 1/2, 1 - alpha rounds in floats, so there only
+    patterns of ones qualify."""
+    model = IIDModel.binary(alpha)
+    twin = IIDModel.binary(Fraction(alpha))
+    checked = 0
+    for n in (5, 40, 300):
+        for text in ("1", "11111", "0110", "10" * 20, "1" * 30, "0" * 30 + "1" * 30):
+            pattern = LetterString.from_text(text, Alphabet(2))
+            if len(pattern) > n or any(model.probs[c] != twin.probs[c] for c in pattern):
+                continue
+            value = expected_occurrences(n, pattern, model)
+            assert value == expected_occurrences(n, pattern, twin), (n, text)
+            checked += 1
+    assert checked >= 8
+
+
+def test_expected_occurrences_rejects_chains_by_type():
+    """Only IID letters have a per-letter probability to multiply; a chain
+    is refused by type before any arithmetic."""
+    with pytest.raises(TypeError, match="MarkovModel"):
+        expected_occurrences(4, LetterString.from_text("01"), MarkovModel(0.5, 0.5))
+    with pytest.raises(TypeError, match="MarkovModel"):
+        expected_occurrences(1, LetterString.from_text("01"), MarkovModel(0.5, 0.5))

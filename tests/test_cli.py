@@ -289,6 +289,20 @@ def test_solve_occurrences(capsys):
     assert payload["expected"] == 180.42578125
 
 
+def test_solve_occurrences_past_float_range_of_the_binomial(capsys):
+    """C(2000, 1000) alone overflows a float; the count itself does not."""
+    code, out, err = run_cli(
+        capsys, "solve", "--occurrences", "n=2000", "pattern=" + "1" * 1000, "alpha=0.5"
+    )
+    assert (code, err) == (0, "")
+    assert '"expected": 1.9114653986474661e+299\n' in out
+    code, out, err = run_cli(
+        capsys, "solve", "--occurrences", "n=4000", "pattern=" + "1" * 1000, "alpha=0.5"
+    )
+    assert (code, out) == (1, "")
+    assert "log_space=True" in err
+
+
 def test_solve_occurrences_log(capsys):
     for text, flag in (("true", True), ("YES", True), ("1", True), ("no", False), ("0", False)):
         code, out, _ = run_cli(

@@ -234,7 +234,7 @@ def test_series_accessors():
     series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 3)
     assert series.value_at(1) == Fraction(1)
     assert series.final() == Fraction(19, 4)
-    assert series.as_floats() == (1.0, 2.5, 4.75)
+    assert series.values == (1, Fraction(5, 2), Fraction(19, 4))
     with pytest.raises(IndexError):
         series.value_at(0)
     with pytest.raises(IndexError):

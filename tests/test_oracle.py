@@ -20,7 +20,6 @@ from subseqlab import (
     enumerate_distinct,
     exhaustive_expectation,
     iid_matrix_expectation,
-    is_subsequence,
     superpattern_k_bruteforce,
     tree_row,
 )
@@ -55,27 +54,27 @@ def test_enumeration_agrees_with_counter(s):
 
 
 def test_tree_rows_binary():
-    assert tree_row(2, 0).values == (0,)
-    assert tree_row(2, 1).values == (1, 1)
-    assert tree_row(2, 2).values == (1, 2, 2, 1)
-    assert tree_row(2, 3).values == (1, 3, 3, 2, 2, 3, 3, 1)
+    assert tree_row(2, 0) == (0,)
+    assert tree_row(2, 1) == (1, 1)
+    assert tree_row(2, 2) == (1, 2, 2, 1)
+    assert tree_row(2, 3) == (1, 3, 3, 2, 2, 3, 3, 1)
 
 
 def test_tree_row_ternary():
-    assert tree_row(3, 2).values == (1, 2, 2, 2, 1, 2, 2, 2, 1)
+    assert tree_row(3, 2) == (1, 2, 2, 2, 1, 2, 2, 2, 1)
 
 
 def test_tree_rows_are_palindromes():
     """Reversing the letter order of a row reads the same row backwards."""
     for n in range(1, 10):
-        row = tree_row(2, n).values
+        row = tree_row(2, n)
         assert row == row[::-1]
 
 
 def test_tree_row_sums_double_plus_siblings():
     """Row n has d^n entries; each entry is >= 1 past the root row."""
     for n in range(1, 8):
-        row = tree_row(2, n).values
+        row = tree_row(2, n)
         assert len(row) == 2**n
         assert min(row) == 1
 
@@ -89,7 +88,7 @@ def test_walk_depth_hits_the_size_guard():
         tree_row(1, 5000)
     with pytest.raises(SizeGuardError):
         tree_row(3, 10**8)
-    assert tree_row(1, 20).values == (1,)
+    assert tree_row(1, 20) == (1,)
     assert exhaustive_expectation(IIDModel((Fraction(1),)), 20).values[-1] == 20
 
 
@@ -138,7 +137,7 @@ def test_tree_row_sums_are_expectation_increments():
         ):
             e = (Fraction(0),) + series.values
             for n in range(1, 9):
-                assert sum(tree_row(d, n).values) == d**n * (e[n] - e[n - 1]), (d, n)
+                assert sum(tree_row(d, n)) == d**n * (e[n] - e[n - 1]), (d, n)
 
 
 def test_pair_structure_small_rows():
@@ -199,14 +198,6 @@ def test_submultiplicativity_needs_empty_convention():
     assert four == Fraction(65, 8)
     assert two == Fraction(5, 2)
     assert four > two * two
-
-
-def test_is_subsequence_basics():
-    s = LetterString.from_text("0110")
-    assert is_subsequence(LetterString.from_text("010"), s)
-    assert is_subsequence(LetterString.from_text(""), s)
-    assert not is_subsequence(LetterString.from_text("000"), s)
-    assert not is_subsequence(s, LetterString.from_text("011"))
 
 
 def test_superpattern_bruteforce_known():
