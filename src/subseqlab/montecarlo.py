@@ -1,19 +1,24 @@
 """Seeded Monte Carlo estimation for random-string statistics.
 
-Reproducibility contract: every trial draws from its own counter-based
-random stream (Philox) keyed by ``(master seed, stream, trial index)``, so
-a fixed seed gives bit-identical results no matter how trials are split
-across workers. Reductions always run over the per-trial values in trial
+Reproducibility contract: trials run in blocks of BLOCK (4096), and each
+block draws from its own counter-based random stream (Philox) keyed by
+``(master seed, stream, block index)``. Workers split the trials on block
+boundaries, so a fixed seed gives bit-identical results no matter how many
+workers run them. Reductions always run over the per-trial values in trial
 order.
 
-Every trial runs through one loop, :func:`_trials`, which samples the
-trial's letters and applies a statistic to them: the counting kernel that
-also backs :func:`subseqlab.strings.count_distinct`, or the greedy rounds
-of the superpattern statistic.
+Every block runs through one loop, :func:`_trials`. It draws the letters of
+all its trials in ``(rows, w)`` slabs of at most CELLS uniforms (one row per
+trial), and a statistic consumes them one column (one letter of every
+trial) at a time: the counting recurrence of
+:func:`subseqlab.strings.count_distinct` run across rows, or the greedy
+rounds of the superpattern statistic. :func:`sample_string` is the 1-row
+case of the same sampler.
 
-Counts are computed as exact integers per trial. Once any count exceeds
-2**53 a float64 can no longer hold it exactly, so the estimate switches to
-log space and the record carries a flag saying so.
+Counts are exact integers per trial: int64 for the first INT64_COLUMNS
+letters, Python ints after. Once any count exceeds 2**53 a float64 can no
+longer hold it exactly, so the estimate switches to log space and the
+record carries a flag saying so.
 
 numpy and the process pool are imported by the functions that use them,
 so importing the package (and every CLI command that does not sample)
@@ -29,7 +34,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .models import IIDModel, MarkovModel
-from .strings import Alphabet, LetterString, _count_distinct_fast
+from .strings import Alphabet, LetterString
+from .strings import _count_distinct_fast  # noqa: F401  (perfbench/crosscheck.py imports it from here)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,6 +57,9 @@ __all__ = [
 
 INT_EXACT_MAX = 2**53
 MAX_SEED = 2**64
+BLOCK = 4096  # trials per random stream
+CELLS = 2**14  # uniforms per slab a block draws at a time
+INT64_COLUMNS = 62  # letters counted in int64 before counts switch to Python ints
 
 
 def _check_run(n: int, trials: int, seed: int, min_trials: int, too_few: str) -> None:
@@ -62,33 +71,75 @@ def _check_run(n: int, trials: int, seed: int, min_trials: int, too_few: str) ->
         raise ValueError("n must be nonnegative")
 
 
-def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
-    """Independent Philox stream for one trial of one experiment."""
+def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """Independent Philox stream for one block of trials of one experiment."""
     import numpy as np
 
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, trial))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample_letters(model, n: int, rng: np.random.Generator) -> list[int]:
+def _chain_fill(u: np.ndarray, prev, model: MarkovModel) -> np.ndarray:
+    """Chain letters (as bools) for a ``(rows, w)`` slab of uniforms that
+    continues the letters ``prev``, or starts the strings when it is None.
+
+    The sequential rule draws a 1 when ``u < alpha`` after a 1 and when
+    ``u < beta`` after a 0. So where ``u < min(alpha, beta)`` the letter is 1
+    and where ``u >= max(alpha, beta)`` it is 0 whatever came before: these
+    are resets. Between resets a letter copies the one before it when
+    alpha > beta and flips it when alpha < beta, so each letter is the one at
+    the last reset, XOR the parity of the distance to it when flipping.
+    """
+    import numpy as np
+
+    alpha, beta = float(model.alpha), float(model.beta)
+    ones = u < min(alpha, beta)
+    reset = ones | (u >= max(alpha, beta))
+    if prev is None:  # the first letter comes from the stationary start
+        ones[:, 0] = u[:, 0] < float(model.gamma)
+        reset[:, 0] = True
+    cols = np.arange(u.shape[1])
+    last = np.maximum.accumulate(np.where(reset, cols, -1), axis=1)
+    letters = np.take_along_axis(ones, np.maximum(last, 0), axis=1)
+    if prev is not None:  # no reset yet: continue from prev, one column back
+        letters = np.where(last < 0, prev[:, None], letters)
+    if alpha < beta:
+        letters ^= ((cols - last) & 1).astype(bool)
+    return letters
+
+
+def _slabs(model, rows: int, n: int, rng: np.random.Generator):
+    """Letters of ``rows`` strings of length n drawn from one stream, as
+    ``(rows, w)`` integer slabs from left to right, ``w = CELLS // rows``.
+
+    Only one slab is held at a time, so a block of trials never holds its
+    whole ``(rows, n)`` letter matrix.
+    """
     import numpy as np
 
     if isinstance(model, IIDModel):
-        cum = np.cumsum([float(p) for p in model.probs])
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        return np.minimum(idx, model.d - 1).tolist()
-    if isinstance(model, MarkovModel):
-        alpha = float(model.alpha)
-        beta = float(model.beta)
-        p_one = float(model.gamma)  # stationary start
-        u = rng.random(n)
-        out: list[int] = []
-        for i in range(n):
-            letter = 1 if u[i] < p_one else 0
-            out.append(letter)
-            p_one = alpha if letter == 1 else beta
-        return out
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        cum = np.array(model.probs, dtype=np.float64).cumsum()
+    elif not isinstance(model, MarkovModel):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    width = max(1, CELLS // rows)
+    prev = None
+    for lo in range(0, n, width):
+        u = rng.random((rows, min(width, n - lo)))
+        if isinstance(model, MarkovModel):
+            chain = _chain_fill(u, prev, model)
+            prev = chain[:, -1]
+            yield chain.astype(np.intp)
+        else:
+            letters = np.searchsorted(cum, u, side="right")
+            yield np.minimum(letters, model.d - 1, out=letters)
+
+
+def _sample_letters(model, n: int, rng: np.random.Generator) -> list[int]:
+    """Letters of one string: the 1-row case of :func:`_slabs`."""
+    letters: list[int] = []
+    for slab in _slabs(model, 1, n, rng):
+        letters += slab[0].tolist()
+    return letters
 
 
 def sample_string(model, n: int, rng: np.random.Generator) -> LetterString:
@@ -97,6 +148,27 @@ def sample_string(model, n: int, rng: np.random.Generator) -> LetterString:
         raise ValueError("n must be nonnegative")
     letters = tuple(_sample_letters(model, n, rng))
     return LetterString(Alphabet(model.d), letters)
+
+
+def _count_block(columns, rows: int, d: int) -> list[int]:
+    """:func:`_count_distinct_fast` of ``rows`` strings at once, fed one
+    column of letters (one letter per string) at a time.
+
+    Counts stay in int64 for the first INT64_COLUMNS letters, where
+    phi <= 2**62 - 1, and are Python ints (object arrays) after that.
+    """
+    import numpy as np
+
+    ar = np.arange(rows)
+    total = np.zeros(rows, dtype=np.int64)
+    base = np.full((rows, d), -1, dtype=np.int64)
+    for i, c in enumerate(columns):
+        if i == INT64_COLUMNS:
+            total, base = total.astype(object), base.astype(object)
+        b = base[ar, c]
+        base[ar, c] = total
+        total = 2 * total - b
+    return total.tolist()
 
 
 def _greedy_rounds(letters: list[int], d: int) -> int:
@@ -110,32 +182,57 @@ def _greedy_rounds(letters: list[int], d: int) -> int:
     return k
 
 
-def _trials(stat, model, n, seed, stream, lo, hi) -> list[int]:
-    """``stat(letters, d)`` for trials lo..hi-1, each on its own stream."""
-    d = model.d
-    return [
-        stat(_sample_letters(model, n, trial_rng(seed, t, stream)), d)
-        for t in range(lo, hi)
-    ]
+def _greedy_block(columns, rows: int, d: int) -> list[int]:
+    """:func:`_greedy_rounds` of ``rows`` strings at once, fed one column of
+    letters at a time: a ``(rows, d)`` seen matrix and a size per row."""
+    import numpy as np
+
+    ar = np.arange(rows)
+    seen = np.zeros((rows, d), dtype=bool)
+    size = np.zeros(rows, dtype=np.int64)
+    k = np.zeros(rows, dtype=np.int64)
+    for c in columns:
+        size += ~seen[ar, c]
+        seen[ar, c] = True
+        done = size == d
+        k += done
+        seen[done] = False
+        size[done] = 0
+    return k.tolist()
+
+
+def _trials(stat, model, n, trials, seed, stream, lo, hi) -> list[int]:
+    """``stat(columns, rows, d)`` for the trials of blocks lo..hi-1; block b
+    holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` (or ``trials``) and draws
+    from its own stream."""
+    out: list[int] = []
+    for b in range(lo, hi):
+        rows = min(BLOCK, trials - b * BLOCK)
+        slabs = _slabs(model, rows, n, trial_rng(seed, b, stream))
+        out += stat((c for slab in slabs for c in slab.T), rows, model.d)
+    return out
 
 
 def _run_trials(stat, model, n, trials, seed, stream, workers) -> list[int]:
     """Per-trial values in trial order, optionally computed across processes.
 
-    The trials are split into at most one chunk per worker and per CPU, and
-    the pool gets one process per chunk. Each trial's value depends only on
-    (seed, stream, trial index), so any chunking returns the identical list.
+    The blocks of trials are split into at most one chunk per worker, per
+    CPU and per block, and the pool gets one process per chunk. Each block's
+    values depend only on (seed, stream, block index, trials), so any
+    chunking returns the identical list.
     """
-    parts = min(workers, os.cpu_count() or 1)
+    blocks = -(-trials // BLOCK)
+    parts = min(workers, os.cpu_count() or 1, blocks)
     if parts <= 1:
-        return _trials(stat, model, n, seed, stream, 0, trials)
+        return _trials(stat, model, n, trials, seed, stream, 0, blocks)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-trials // parts)
-    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    chunk = -(-blocks // parts)
+    bounds = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [
-            pool.submit(_trials, stat, model, n, seed, stream, lo, hi) for lo, hi in bounds
+            pool.submit(_trials, stat, model, n, trials, seed, stream, lo, hi)
+            for lo, hi in bounds
         ]
         return [v for f in futures for v in f.result()]
 
@@ -184,7 +281,7 @@ def estimate_expected_count(
     import numpy as np  # before _run_trials forks, so the workers inherit it
 
     _check_run(n, trials, seed, 2, "need at least 2 trials for a standard error")
-    phis = _run_trials(_count_distinct_fast, model, n, trials, seed, stream, workers)
+    phis = _run_trials(_count_block, model, n, trials, seed, stream, workers)
     if max(phis) <= INT_EXACT_MAX:
         arr = np.array(phis, dtype=np.float64)
         mean = float(arr.mean())
@@ -304,7 +401,7 @@ def superpattern_experiment(
     import numpy as np  # before _run_trials forks, so the workers inherit it
 
     _check_run(n, trials, seed, 1, "need at least 1 trial")
-    ks = _run_trials(_greedy_rounds, model, n, trials, seed, stream, workers)
+    ks = _run_trials(_greedy_block, model, n, trials, seed, stream, workers)
     hist = tuple(sorted(Counter(ks).items()))
     mean_k = float(np.mean(np.array(ks, dtype=np.float64)))
     mean_ratio = mean_k / n if n else 0.0

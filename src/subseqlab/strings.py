@@ -10,8 +10,9 @@ arbitrary precision; a length-n binary string can reach ``2**n - 1``
 distinct subsequences, far past any fixed-width integer.
 
 The counting recurrence lives here once, in two forms: the batch kernel
-:func:`_count_distinct_fast` (behind :func:`count_distinct` and the Monte
-Carlo samplers) and the streaming :class:`IncrementalCounter` (behind the
+:func:`_count_distinct_fast` (behind :func:`count_distinct`, and the
+reference for the Monte Carlo samplers, which run it across a block of
+trials at once) and the streaming :class:`IncrementalCounter` (behind the
 per-letter profiles of :func:`new_subseq_counts`, the oracle walks and the
 tree rows). Both store, per letter, the
 running total just before its last occurrence, with -1 for a letter not
@@ -107,10 +108,6 @@ class LetterString:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
-
-    def extended(self, letter: int) -> "LetterString":
-        """Copy with one letter appended."""
-        return LetterString(self.alphabet, self.letters + (letter,))
 
 
 class IncrementalCounter:

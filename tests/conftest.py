@@ -1,6 +1,14 @@
-"""Shared pytest wiring: echo the acceptance checklist after the run."""
+"""Shared pytest wiring: echo the acceptance checklist after the run, and
+helpers the test modules import."""
 
 import sys
+
+from subseqlab import LetterString
+
+
+def extended(s: LetterString, letter: int) -> LetterString:
+    """Copy of ``s`` with one letter appended."""
+    return LetterString(s.alphabet, s.letters + (letter,))
 
 
 def pytest_terminal_summary(terminalreporter):

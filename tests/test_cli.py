@@ -163,7 +163,7 @@ def test_simulate_csv_flags_log_space(capsys):
     assert code == 0
     header, row = out.splitlines()
     assert header == "n,mean,stderr,trials,seed,log_space"
-    assert row.startswith("1100,438.8") and row.endswith(",3,1,true")
+    assert row.startswith("1100,445.0") and row.endswith(",3,1,true")
     code, out, _ = run_cli(capsys, *base, "--grid", "10:1100:1090")
     assert code == 0
     assert [line.split(",")[-1] for line in out.splitlines()] == ["log_space", "false", "true"]

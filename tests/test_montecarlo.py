@@ -9,10 +9,13 @@ import concurrent.futures
 import math
 import os
 
+import numpy as np
 import pytest
 
 from subseqlab import (
+    Alphabet,
     IIDModel,
+    LetterString,
     MarkovModel,
     asymptotic_constants,
     closed_form_binary,
@@ -23,10 +26,16 @@ from subseqlab import (
     superpattern_experiment,
     trial_rng,
 )
+from subseqlab import montecarlo
 from subseqlab.montecarlo import (
+    BLOCK,
     MAX_SEED,
+    _chain_fill,
+    _count_block,
     _count_distinct_fast,
+    _greedy_block,
     _greedy_rounds,
+    _slabs,
     _trials,
     superpattern_k,
 )
@@ -99,15 +108,17 @@ def test_estimate_matches_exact_mean():
 
 def test_estimate_is_worker_independent():
     """The same seed gives bit-identical records for any worker count."""
-    one = estimate_expected_count(IIDModel.binary(0.5), 18, 400, seed=7)
-    three = estimate_expected_count(IIDModel.binary(0.5), 18, 400, seed=7, workers=3)
+    trials = 2 * BLOCK + 7  # three blocks, the last one partial
+    one = estimate_expected_count(IIDModel.binary(0.5), 18, trials, seed=7)
+    three = estimate_expected_count(IIDModel.binary(0.5), 18, trials, seed=7, workers=3)
     assert one == three
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 64])
 def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
-    """A huge worker count asks for no more processes than there are chunks,
-    and never more than the CPU count; the records do not change."""
+    """A huge worker count asks for no more processes than there are blocks,
+    and never more than the CPU count; the records do not change. A single
+    block runs in this process."""
     asked = []
 
     class InlinePool:
@@ -132,23 +143,126 @@ def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cap = min(3, os.cpu_count() or 1)
     model = IIDModel.binary(0.5)
-    one = estimate_expected_count(model, 10, 3, seed=4)
-    assert estimate_expected_count(model, 10, 3, seed=4, workers=10**6) == one
-    k_one = superpattern_experiment(model, 10, 3, seed=4)
-    assert superpattern_experiment(model, 10, 3, seed=4, workers=10**6) == k_one
+    trials = 3 * BLOCK
+    one = estimate_expected_count(model, 10, trials, seed=4)
+    assert estimate_expected_count(model, 10, trials, seed=4, workers=10**6) == one
+    k_one = superpattern_experiment(model, 10, trials, seed=4)
+    assert superpattern_experiment(model, 10, trials, seed=4, workers=10**6) == k_one
     assert asked == ([cap] * 2 if cap > 1 else [])
+    estimate_expected_count(model, 10, 3, seed=4, workers=10**6)  # one block: no pool
+    assert len(asked) == (2 if cap > 1 else 0)
+
+
+def block_rows(model, rows, n, seed=13, stream=2):
+    """The letters of the rows of a first block, drawn as its trials draw them."""
+    slabs = _slabs(model, rows, n, trial_rng(seed, 0, stream))
+    return np.concatenate([np.empty((rows, 0), dtype=np.intp), *slabs], axis=1).tolist()
 
 
 @pytest.mark.parametrize("model", [IIDModel((0.2, 0.5, 0.3)), MarkovModel(0.8, 0.3)])
 def test_trial_statistics_match_the_oracle(model):
-    """Each trial's count and superpattern k equal the brute-force values
-    on the string sample_string draws from the same stream."""
-    phis = _trials(_count_distinct_fast, model, 9, 13, 2, 0, 40)
-    ks = _trials(_greedy_rounds, model, 9, 13, 2, 0, 40)
-    for t in range(40):
-        s = sample_string(model, 9, trial_rng(13, t, stream=2))
+    """Each row's count and superpattern k equal the brute-force values on
+    the string the one sampler drew for that row."""
+    phis = _trials(_count_block, model, 9, 40, 13, 2, 0, 1)
+    ks = _trials(_greedy_block, model, 9, 40, 13, 2, 0, 1)
+    for t, letters in enumerate(block_rows(model, 40, 9)):
+        s = LetterString(Alphabet(model.d), tuple(letters))
         assert phis[t] == len(enumerate_distinct(s))
         assert ks[t] == superpattern_k_bruteforce(s)
+
+
+CHAINS = [(0.8, 0.3), (0.3, 0.8), (0.5, 0.5), (0, 1), (1, 0.5)]
+
+
+def sequential_chain(u, model):
+    """The chain's letter-by-letter rule: a 1 when u < alpha after a 1 and
+    when u < beta after a 0, starting from the stationary probability."""
+    alpha, beta = float(model.alpha), float(model.beta)
+    out = []
+    for row in u:
+        p_one, letters = float(model.gamma), []
+        for x in row:
+            letters.append(bool(x < p_one))
+            p_one = alpha if letters[-1] else beta
+        out.append(letters)
+    return out
+
+
+@pytest.mark.parametrize("alpha,beta", CHAINS)
+def test_chain_fill_matches_the_sequential_rule(alpha, beta):
+    """The vectorised fill equals the sequential rule bit for bit, on
+    uniforms that include alpha, beta and gamma themselves, and a slab that
+    continues from the last column of the one before gives the same letters."""
+    model = MarkovModel(alpha, beta)
+    rng = np.random.default_rng(5)
+    u = rng.random((30, 50))
+    planted = rng.random(u.shape) < 0.3
+    u[planted] = rng.choice([alpha, beta, float(model.gamma)], planted.sum())
+    expected = sequential_chain(u, model)
+    assert _chain_fill(u.copy(), None, model).tolist() == expected
+    head = _chain_fill(u[:, :17].copy(), None, model)
+    tail = _chain_fill(u[:, 17:].copy(), head[:, -1], model)
+    assert np.concatenate([head, tail], axis=1).tolist() == expected
+
+
+COUNT_MODELS = [
+    pytest.param(IIDModel.binary(0.5), id="fair"),
+    pytest.param(IIDModel.uniform(1000), id="d1000"),
+] + [pytest.param(MarkovModel(a, b), id=f"chain{a},{b}") for a, b in CHAINS]
+
+
+@pytest.mark.parametrize("n", [61, 62, 63, 64, 100])
+@pytest.mark.parametrize("model", COUNT_MODELS)
+def test_block_counts_cross_the_int64_switch(monkeypatch, model, n):
+    """Every row equals the scalar kernel on either side of the switch from
+    int64 to Python ints, with slabs narrow enough that each string spans
+    several of them; near-distinct letters (d = 1000) push counts from n = 64
+    on past the int64 range."""
+    rows = 40
+    monkeypatch.setattr(montecarlo, "CELLS", rows * 7)
+    phis = _trials(_count_block, model, n, rows, 13, 2, 0, 1)
+    assert phis == [_count_distinct_fast(r, model.d) for r in block_rows(model, rows, n)]
+    if model.d == 1000 and n >= 64:
+        assert max(phis) > np.iinfo(np.int64).max
+
+
+def test_greedy_block_over_seventy_letters():
+    """Rows of a 70-letter alphabet close rounds as the scalar scan does."""
+    model = IIDModel.uniform(70)
+    ks = _trials(_greedy_block, model, 1000, 30, 13, 2, 0, 1)
+    assert ks == [_greedy_rounds(r, 70) for r in block_rows(model, 30, 1000)]
+    assert max(ks) >= 2
+
+
+def test_block_skips_a_zero_probability_letter():
+    model = IIDModel((0.5, 0.0, 0.5))
+    rows = block_rows(model, 40, 64)
+    assert 1 not in {c for r in rows for c in r}
+    assert _trials(_count_block, model, 64, 40, 13, 2, 0, 1) == [
+        _count_distinct_fast(r, 3) for r in rows
+    ]
+    assert _trials(_greedy_block, model, 64, 40, 13, 2, 0, 1) == [
+        _greedy_rounds(r, 3) for r in rows
+    ]
+
+
+@pytest.mark.parametrize("model", [IIDModel.binary(0.3), MarkovModel(0.8, 0.2)])
+def test_sample_string_draws_whole_slabs(model):
+    """One string is drawn a slab at a time, never letter by letter."""
+
+    class Counting:
+        calls = 0
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, shape):
+            Counting.calls += 1
+            return self.rng.random(shape)
+
+    s = sample_string(model, 100_000, Counting(trial_rng(1, 0)))
+    assert len(s) == 100_000
+    assert Counting.calls == -(-100_000 // montecarlo.CELLS)
 
 
 def test_estimate_streams_are_independent():
@@ -233,8 +347,6 @@ def test_growth_fit_rejects_short_lengths_before_sampling(monkeypatch):
 
 
 def test_superpattern_greedy_known_values():
-    from subseqlab import LetterString
-
     assert superpattern_k(LetterString.from_text("")) == 0
     assert superpattern_k(LetterString.from_text("0101")) == 2
     assert superpattern_k(LetterString.from_text("0011")) == 1

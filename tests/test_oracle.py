@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import extended
 from subseqlab import (
     BINARY,
     ENUMERATION_MAX,
@@ -223,4 +224,4 @@ def test_greedy_cover_matches_bruteforce(s):
 @settings(max_examples=150)
 def test_cover_length_monotone_under_append(s, letter):
     """Appending a letter can only extend what the string covers."""
-    assert superpattern_k(s.extended(letter)) >= superpattern_k(s)
+    assert superpattern_k(extended(s, letter)) >= superpattern_k(s)

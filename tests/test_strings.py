@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import extended
 from subseqlab import (
     Alphabet,
     BINARY,
@@ -156,13 +157,13 @@ def test_sibling_and_repeat_identities(s, letter):
     j = letter % d
     k = (j + 1) % d
     base = new_subseq_counts(s)
-    nu_j = new_subseq_counts(s.extended(j))[-1]
-    nu_jj = new_subseq_counts(s.extended(j).extended(j))[-1]
-    nu_jk = new_subseq_counts(s.extended(j).extended(k))[-1]
-    nu_k = new_subseq_counts(s.extended(k))[-1]
+    nu_j = new_subseq_counts(extended(s, j))[-1]
+    nu_jj = new_subseq_counts(extended(extended(s, j), j))[-1]
+    nu_jk = new_subseq_counts(extended(extended(s, j), k))[-1]
+    nu_k = new_subseq_counts(extended(s, k))[-1]
     assert nu_jj == nu_j
     assert nu_jk == nu_j + nu_k
-    assert sum(base) + nu_j == count_distinct(s.extended(j))
+    assert sum(base) + nu_j == count_distinct(extended(s, j))
 
 
 def test_counter_snapshot_restore():
