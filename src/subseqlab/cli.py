@@ -18,7 +18,8 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .analysis import expected_occurrences, occurrence_threshold, solve_balance
-from .expectation import closed_form_binary, iid_matrix_expectation, markov_expectation
+from .expectation import closed_form_binary  # noqa: F401  (perfbench/traced.py wraps it here)
+from .expectation import iid_matrix_expectation, markov_expectation
 from .models import IIDModel, MarkovModel, parse_probability
 from .montecarlo import (
     estimate_expected_count,
@@ -116,10 +117,13 @@ def _parse_model(args, exact: bool, kind=None, label: str = ""):
 
 def _emit(out: str, doc, columns=(), rows=()) -> None:
     """Print ``doc`` as JSON, or the named columns of each row dict as CSV
-    with a list cell joined by spaces."""
+    with a list cell joined by spaces. A row whose ``log_space`` is true
+    holds ln values; the CSV then gains a trailing ``log_space`` column."""
     if out == "json":
         sys.stdout.write(dump_json(doc))
         return
+    if any(row.get("log_space") for row in rows):
+        columns = [*columns, "log_space"]
     cells = [[row[col] for col in columns] for row in rows]
     table = [[" ".join(map(str, v)) if isinstance(v, list) else v for v in r] for r in cells]
     sys.stdout.write(render_csv(columns, table))
@@ -175,35 +179,32 @@ def cmd_count(args) -> int:
 def cmd_expect(args) -> int:
     if args.n < 1:
         raise CliError("--n must be at least 1")
-    exact = bool(args.exact)
     if args.engine == "closed":
         if args.probs is not None or args.markov is not None or args.alpha is None:
             raise CliError("the closed engine takes --alpha only")
-        if exact:
+        if args.exact:
             raise CliError(
                 "the closed form is floating point; use --engine matrix with --exact"
             )
-        alpha = parse_probability(args.alpha, exact=False)
-        values = [closed_form_binary(alpha, i) for i in range(1, args.n + 1)]
-        mode = "float"
-        model_desc = f"iid-binary(alpha={alpha})"
-    else:
-        markov = args.engine == "markov"
-        kind = MarkovModel if markov else IIDModel
-        model = _parse_model(args, exact, kind, f"the {args.engine} engine")
-        engine = markov_expectation if markov else iid_matrix_expectation
-        series = engine(model, args.n, mode="exact" if exact else "float")
-        values = list(series.values)
-        mode = series.mode
-        model_desc = model.describe()
+    # the closed form is the binary IID case of the matrix engine
+    markov = args.engine == "markov"
+    kind = MarkovModel if markov else IIDModel
+    model = _parse_model(args, args.exact, kind, f"the {args.engine} engine")
+    engine = markov_expectation if markov else iid_matrix_expectation
+    series = engine(model, args.n, mode="exact" if args.exact else "float")
     doc = {
         "engine": args.engine,
-        "model": model_desc,
-        "mode": mode,
+        "model": model.describe(),
+        "mode": series.mode,
         "n": args.n,
-        "values": values,
+        "values": list(series.values),
     }
-    rows = [{"n": i, "value": v} for i, v in enumerate(values, start=1)]
+    rows = [
+        {"n": i, "value": v, "log_space": i > args.n - series.log_rows}
+        for i, v in enumerate(series.values, start=1)
+    ]
+    if series.log_rows:  # the last log_rows values are ln(E), past the float range
+        doc["log_space"] = [row["log_space"] for row in rows]
     _emit(args.out, doc, ("n", "value"), rows)
     return 0
 
@@ -236,11 +237,7 @@ def cmd_simulate(args) -> int:
     doc = {"model": model.describe(), "rows": rows}
     if fit is not None:
         doc["fit"] = fit
-    # ln(mean) rows say so in CSV too; the column is absent when no row needs it
-    columns = ["n", "mean", "stderr", "trials", "seed"]
-    if any(r.log_space for r in records):
-        columns.append("log_space")
-    _emit(args.out, doc, columns, rows)
+    _emit(args.out, doc, ("n", "mean", "stderr", "trials", "seed"), rows)
     return 0
 
 

@@ -1,14 +1,13 @@
 """Expectation engines for distinct-subsequence counts of random strings.
 
-Two routes to ``E[count(S_n)]`` under the nonempty convention:
-
-* a closed form for IID binary strings, floating point only;
-* one recurrence over a model's letter source (see
-  ``IIDModel.letter_source``), which serves IID strings over any alphabet
-  and the two-state Markov chain alike. It tracks the expected new-count
-  weight built up since each letter last occurred, costs O(d * m**2) per
-  length for d letters and m hidden states, and runs in exact rational
-  arithmetic when the model carries Fractions and in floats otherwise.
+One recurrence gives ``E[count(S_n)]`` under the nonempty convention. It
+runs over a model's letter source (see ``IIDModel.letter_source``), so it
+serves IID strings over any alphabet and the two-state Markov chain alike.
+It tracks the expected new-count weight built up since each letter last
+occurred, costs O(d * m**2) per length for d letters and m hidden states,
+and runs in exact rational arithmetic when the model carries Fractions and
+in floats otherwise, where a row past the float64 range holds ln(E). The
+paper's closed form for IID binary strings stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -34,11 +33,13 @@ class ExpectationSeries:
     """``E[distinct nonempty subsequences of S_i]`` for i = 1..n.
 
     ``values[0]`` corresponds to i = 1; :meth:`value_at` takes the 1-based
-    length. ``mode`` is "exact" (Fraction values) or "float".
+    length. ``mode`` is "exact" (Fraction values) or "float". The last
+    ``log_rows`` float values exceed the float64 range and hold ln(E).
     """
 
     values: tuple
     mode: str
+    log_rows: int = 0
 
     def __len__(self) -> int:
         return len(self.values)
@@ -109,6 +110,8 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     1), split by the state the source is in now. Appending letter c earns
     ``acc[c] @ steps[c]``; afterwards ``acc[c]`` restarts from the letter's
     total new weight, plus its old weight carried through every other letter.
+    Floats are kept at scale 2**-k (divided by 2**600, which is exact, once
+    ``total`` passes it); a row whose ``2**k * total`` overflows holds its ln.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -123,17 +126,24 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     ]
     acc = [list(start) for _ in steps]
     total = Fraction(0) if mode == "exact" else 0.0
-    values = []
+    values, k, log_rows = [], 0, 0
     for _ in range(n):
         earned = [[sum(map(mul, a, col)) for col in cols] for a, cols in zip(acc, step_cols)]
         weight = [sum(col) for col in zip(*earned)]
         total += sum(weight)
-        values.append(total)
         acc = [
             [w + sum(map(mul, a, col)) for w, col in zip(weight, cols)]
             for a, cols in zip(acc, carry_cols)
         ]
-    return ExpectationSeries(tuple(values), mode=mode)
+        if mode == "float" and total > 2.0**600:
+            acc = [[math.ldexp(x, -600) for x in a] for a in acc]
+            total, k = math.ldexp(total, -600), k + 600
+        if mode == "exact" or math.frexp(total)[1] + k <= 1024:  # 2**k * total is finite
+            values.append(math.ldexp(total, k) if k else total)
+        else:
+            values.append(math.log(total) + k * math.log(2))
+            log_rows += 1
+    return ExpectationSeries(tuple(values), mode=mode, log_rows=log_rows)
 
 
 def iid_matrix_expectation(model: IIDModel, n: int, mode: str = "auto") -> ExpectationSeries:

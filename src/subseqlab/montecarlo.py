@@ -1,11 +1,11 @@
 """Seeded Monte Carlo estimation for random-string statistics.
 
-Reproducibility contract: trials run in blocks of BLOCK (4096), and each
-block draws from its own counter-based random stream (Philox) keyed by
-``(master seed, stream, block index)``. Workers split the trials on block
-boundaries, so a fixed seed gives bit-identical results no matter how many
-workers run them. Reductions always run over the per-trial values in trial
-order.
+Reproducibility contract: trials run in blocks of BLOCK (4096; fewer past
+64 letters), and each block draws from its own counter-based random stream
+(Philox) keyed by ``(master seed, stream, block index)``. Workers split the
+trials on block boundaries, so a fixed seed gives bit-identical results no
+matter how many workers run them. Reductions always run over the per-trial
+values in trial order.
 
 Every block runs through one loop, :func:`_trials`. It draws the letters of
 all its trials in ``(rows, w)`` slabs of at most CELLS uniforms (one row per
@@ -58,6 +58,7 @@ __all__ = [
 INT_EXACT_MAX = 2**53
 MAX_SEED = 2**64
 BLOCK = 4096  # trials per random stream
+STATE = 2**18  # letter state (rows * d) a block may hold: BLOCK rows up to d = 64
 CELLS = 2**14  # uniforms per slab a block draws at a time
 INT64_COLUMNS = 62  # letters counted in int64 before counts switch to Python ints
 
@@ -201,13 +202,13 @@ def _greedy_block(columns, rows: int, d: int) -> list[int]:
     return k.tolist()
 
 
-def _trials(stat, model, n, trials, seed, stream, lo, hi) -> list[int]:
+def _trials(stat, model, n, trials, seed, stream, size, lo, hi) -> list[int]:
     """``stat(columns, rows, d)`` for the trials of blocks lo..hi-1; block b
-    holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` (or ``trials``) and draws
+    holds trials ``b*size`` up to ``(b+1)*size`` (or ``trials``) and draws
     from its own stream."""
     out: list[int] = []
     for b in range(lo, hi):
-        rows = min(BLOCK, trials - b * BLOCK)
+        rows = min(size, trials - b * size)
         slabs = _slabs(model, rows, n, trial_rng(seed, b, stream))
         out += stat((c for slab in slabs for c in slab.T), rows, model.d)
     return out
@@ -216,22 +217,23 @@ def _trials(stat, model, n, trials, seed, stream, lo, hi) -> list[int]:
 def _run_trials(stat, model, n, trials, seed, stream, workers) -> list[int]:
     """Per-trial values in trial order, optionally computed across processes.
 
-    The blocks of trials are split into at most one chunk per worker, per
-    CPU and per block, and the pool gets one process per chunk. Each block's
-    values depend only on (seed, stream, block index, trials), so any
-    chunking returns the identical list.
+    Blocks (of BLOCK trials, fewer past STATE // BLOCK letters) split into
+    at most one chunk per worker, per CPU and per block, and the pool gets
+    one process per chunk. A block's values depend only on (seed, stream,
+    block index, trials, d), so any chunking returns the identical list.
     """
-    blocks = -(-trials // BLOCK)
+    size = min(BLOCK, max(1, STATE // model.d))
+    blocks = -(-trials // size)
     parts = min(workers, os.cpu_count() or 1, blocks)
     if parts <= 1:
-        return _trials(stat, model, n, trials, seed, stream, 0, blocks)
+        return _trials(stat, model, n, trials, seed, stream, size, 0, blocks)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-blocks // parts)
     bounds = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
     with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [
-            pool.submit(_trials, stat, model, n, trials, seed, stream, lo, hi)
+            pool.submit(_trials, stat, model, n, trials, seed, stream, size, lo, hi)
             for lo, hi in bounds
         ]
         return [v for f in futures for v in f.result()]

@@ -129,6 +129,49 @@ def test_expect_markov_boundary_matches_oracle(capsys):
         assert tuple(Fraction(v) for v in json.loads(out)["values"]) == want
 
 
+D26 = ",".join(["1/26"] * 26)
+
+
+@pytest.mark.parametrize(
+    "argv,first_ln_row",
+    [
+        (("--engine", "matrix", "--probs", D26, "--n", "2000"), 1054),
+        (("--engine", "markov", "--markov", "0.7,0.3", "--n", "3000"), 2031),
+        (("--engine", "closed", "--alpha", "0.3", "--n", "2000"), 1880),
+    ],
+    ids=["d26", "markov", "closed"],
+)
+def test_expect_prints_ln_rows_past_the_float_range(capsys, argv, first_ln_row):
+    """Rows past float64 print ln(E) and say so in a log_space column."""
+    code, out, _ = run_cli(capsys, "expect", *argv)
+    assert code == 0
+    assert "inf" not in out and "nan" not in out
+    lines = out.splitlines()
+    n = int(argv[-1])
+    assert lines[0] == "n,value,log_space"
+    flags = [line.split(",")[2] for line in lines[1:]]
+    assert flags == ["false"] * (first_ln_row - 1) + ["true"] * (n - first_ln_row + 1)
+    assert 709 < float(lines[first_ln_row].split(",")[1]) < 711
+    code, out, _ = run_cli(capsys, "expect", *argv, "--out", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["log_space"] == [f == "true" for f in flags]
+    assert payload["values"] == [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def test_expect_closed_runs_the_matrix_engine(capsys):
+    """--engine closed is the matrix engine on the binary model: same rows,
+    and JSON carries no log_space list when no row needs one."""
+    code, closed, _ = run_cli(capsys, "expect", "--engine", "closed", "--alpha", "0.3",
+                              "--n", "50", "--out", "json")
+    assert code == 0
+    code, matrix, _ = run_cli(capsys, "expect", "--engine", "matrix", "--alpha", "0.3",
+                              "--n", "50", "--out", "json")
+    closed, matrix = json.loads(closed), json.loads(matrix)
+    assert closed["model"] == matrix["model"] == "iid(0.7,0.3)"
+    assert closed["values"] == matrix["values"]
+    assert "log_space" not in closed
+
+
 def test_tree_row_output(capsys):
     code, out, _ = run_cli(capsys, "tree-row", "--d", "2", "--n", "3")
     assert code == 0

@@ -282,3 +282,73 @@ def test_float_engine_tracks_exact(model, n):
     assert floats.mode == "float"
     for got, want in zip(floats.values, exact):
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def uniform_ln(d, n):
+    """ln E_n for d uniform letters: E_n = ((2 - 1/d)**n - 1) / (1 - 1/d)."""
+    grow = n * math.log(2 - 1 / d)
+    return grow + math.log1p(-math.exp(-grow)) - math.log1p(-1 / d)
+
+
+FLOAT_MAX_LN = math.log(2.0**1023 * (2 - 2.0**-52))
+
+
+@pytest.mark.parametrize("d,first_ln_row", [(26, 1054), (2, 1749)])
+def test_float_rows_past_the_range_hold_ln(d, first_ln_row):
+    """Rows from the first n whose true E_n exceeds float64 hold ln(E_n);
+    beside that boundary both kinds of row match the analytic value (for
+    fair bits E_n = 2 * 1.5**n - 2)."""
+    n = 2000
+    series = iid_matrix_expectation(IIDModel.uniform(d), n, mode="float")
+    assert series.log_rows == n - first_ln_row + 1
+    assert uniform_ln(d, first_ln_row - 1) < FLOAT_MAX_LN < uniform_ln(d, first_ln_row)
+    for i in range(first_ln_row - 40, n + 1):
+        value = series.value_at(i)
+        got = value if i >= first_ln_row else math.log(value)
+        assert math.isclose(got, uniform_ln(d, i), rel_tol=1e-13), i
+
+
+FLOAT_MODELS = [
+    IIDModel.uniform(26),
+    IIDModel((0.2, 0.3, 0.5)),
+    IIDModel((0.5, 0.0, 0.5)),
+    MarkovModel(0.7, 0.3),
+    MarkovModel(0.2, 0.9),
+    MarkovModel(1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "model", FLOAT_MODELS, ids=["d26", "d3", "zero-letter", "chain.7,.3", "chain.2,.9", "chain1,.5"]
+)
+def test_float_rows_are_finite_and_increasing(model):
+    """No row is inf or nan; the values rise up to the ln rows, and the ln
+    rows (a suffix) rise from ln of the float range on."""
+    series = engine_series(model, 3000, mode="float")
+    split = len(series) - series.log_rows
+    plain, logs = series.values[:split], series.values[split:]
+    assert all(math.isfinite(v) for v in series.values)
+    assert all(a < b for a, b in zip(plain, plain[1:]))
+    assert all(a < b for a, b in zip(logs, logs[1:]))
+    assert not logs or FLOAT_MAX_LN < logs[0] < FLOAT_MAX_LN + 1
+
+
+def test_markov_float_ln_rows_track_the_exact_engine():
+    """The chain's ln rows agree with ln of its exact rationals."""
+    model = MarkovModel(Fraction(7, 10), Fraction(3, 10))
+    exact = markov_expectation(model, 2100)
+    floats = markov_expectation(model, 2100, mode="float")
+    assert floats.log_rows == 2100 - 2031 + 1
+    for i in (2030, 2031, 2100):
+        want = exact.value_at(i)
+        ln_want = math.log(want.numerator) - math.log(want.denominator)
+        got = floats.value_at(i)
+        assert math.isclose(got if i >= 2031 else math.log(got), ln_want, rel_tol=1e-13)
+
+
+def test_exact_series_past_the_float_range_stay_rational():
+    """Exact mode never rescales: E_1800 of fair bits, past float64, is the
+    rational 2 * (3/2)**1800 - 2 and the series has no ln rows."""
+    series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 1800)
+    assert series.log_rows == 0
+    assert series.final() == 2 * Fraction(3, 2) ** 1800 - 2

@@ -8,6 +8,7 @@ deterministic; tolerances were chosen with 4-standard-error headroom.
 import concurrent.futures
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,11 +31,13 @@ from subseqlab import montecarlo
 from subseqlab.montecarlo import (
     BLOCK,
     MAX_SEED,
+    STATE,
     _chain_fill,
     _count_block,
     _count_distinct_fast,
     _greedy_block,
     _greedy_rounds,
+    _run_trials,
     _slabs,
     _trials,
     superpattern_k,
@@ -114,6 +117,35 @@ def test_estimate_is_worker_independent():
     assert one == three
 
 
+def test_large_alphabet_blocks_split_across_workers():
+    """Past 64 letters a block holds STATE // d trials; the blocks still
+    cover every trial, and workers split on their boundaries without
+    changing a value."""
+    model = IIDModel.uniform(300)
+    size = STATE // 300
+    trials = 2 * size + 7  # three blocks, the last one partial
+    phis = _run_trials(_count_block, model, 12, trials, 7, 0, workers=1)
+    assert len(phis) == trials
+    assert phis[size : 2 * size] == _trials(_count_block, model, 12, trials, 7, 0, size, 1, 2)
+    assert _run_trials(_count_block, model, 12, trials, 7, 0, workers=3) == phis
+
+
+@pytest.mark.parametrize(
+    "run,entry_bytes", [(estimate_expected_count, 8), (superpattern_experiment, 1)]
+)
+def test_block_state_is_bounded_for_large_alphabets(run, entry_bytes):
+    """A block's (rows, d) state stays near STATE entries: with 2000 letters
+    it holds 131 trials, not 1024 (int64 counts, boolean seen flags)."""
+    model = IIDModel(tuple([1 / 2000] * 2000))
+    tracemalloc.start()
+    try:
+        run(model, 30, 1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * STATE * entry_bytes
+
+
 @pytest.mark.parametrize("cpus", [None, 2, 64])
 def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
     """A huge worker count asks for no more processes than there are blocks,
@@ -163,8 +195,8 @@ def block_rows(model, rows, n, seed=13, stream=2):
 def test_trial_statistics_match_the_oracle(model):
     """Each row's count and superpattern k equal the brute-force values on
     the string the one sampler drew for that row."""
-    phis = _trials(_count_block, model, 9, 40, 13, 2, 0, 1)
-    ks = _trials(_greedy_block, model, 9, 40, 13, 2, 0, 1)
+    phis = _trials(_count_block, model, 9, 40, 13, 2, BLOCK, 0, 1)
+    ks = _trials(_greedy_block, model, 9, 40, 13, 2, BLOCK, 0, 1)
     for t, letters in enumerate(block_rows(model, 40, 9)):
         s = LetterString(Alphabet(model.d), tuple(letters))
         assert phis[t] == len(enumerate_distinct(s))
@@ -220,7 +252,7 @@ def test_block_counts_cross_the_int64_switch(monkeypatch, model, n):
     on past the int64 range."""
     rows = 40
     monkeypatch.setattr(montecarlo, "CELLS", rows * 7)
-    phis = _trials(_count_block, model, n, rows, 13, 2, 0, 1)
+    phis = _trials(_count_block, model, n, rows, 13, 2, BLOCK, 0, 1)
     assert phis == [_count_distinct_fast(r, model.d) for r in block_rows(model, rows, n)]
     if model.d == 1000 and n >= 64:
         assert max(phis) > np.iinfo(np.int64).max
@@ -229,7 +261,7 @@ def test_block_counts_cross_the_int64_switch(monkeypatch, model, n):
 def test_greedy_block_over_seventy_letters():
     """Rows of a 70-letter alphabet close rounds as the scalar scan does."""
     model = IIDModel.uniform(70)
-    ks = _trials(_greedy_block, model, 1000, 30, 13, 2, 0, 1)
+    ks = _trials(_greedy_block, model, 1000, 30, 13, 2, BLOCK, 0, 1)
     assert ks == [_greedy_rounds(r, 70) for r in block_rows(model, 30, 1000)]
     assert max(ks) >= 2
 
@@ -238,10 +270,10 @@ def test_block_skips_a_zero_probability_letter():
     model = IIDModel((0.5, 0.0, 0.5))
     rows = block_rows(model, 40, 64)
     assert 1 not in {c for r in rows for c in r}
-    assert _trials(_count_block, model, 64, 40, 13, 2, 0, 1) == [
+    assert _trials(_count_block, model, 64, 40, 13, 2, BLOCK, 0, 1) == [
         _count_distinct_fast(r, 3) for r in rows
     ]
-    assert _trials(_greedy_block, model, 64, 40, 13, 2, 0, 1) == [
+    assert _trials(_greedy_block, model, 64, 40, 13, 2, BLOCK, 0, 1) == [
         _greedy_rounds(r, 3) for r in rows
     ]
 
