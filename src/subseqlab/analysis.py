@@ -81,7 +81,7 @@ def balance_value(x: float) -> float:
     return 2.0**x * self_power(x) * self_power(1.0 - x)
 
 
-def _bisect(f, lo: float, hi: float, target: float = 0.0, xtol: float = BRACKET_TOL) -> RootResult:
+def _bisect(f, lo: float, hi: float, target: float = 0.0) -> RootResult:
     """Bisection for ``f(x) = target`` on [lo, hi]; endpoints must straddle."""
     f_lo = f(lo) - target
     f_hi = f(hi) - target
@@ -92,7 +92,7 @@ def _bisect(f, lo: float, hi: float, target: float = 0.0, xtol: float = BRACKET_
     if (f_lo > 0) == (f_hi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     iterations = 0
-    while hi - lo > xtol:
+    while hi - lo > BRACKET_TOL:
         mid = (lo + hi) / 2.0
         if mid <= lo or mid >= hi:
             break  # float resolution floor

@@ -91,18 +91,13 @@ def _parse_grid(text: str) -> list[int]:
 def _parse_model(args, exact: bool, kind=None, label: str = ""):
     """The model named by --alpha, --probs or --markov; with ``kind`` set,
     a model of another kind is rejected as ``"{label} takes {flags}"``."""
-    given = [
-        name
-        for name in ("alpha", "probs", "markov")
-        if getattr(args, name, None) is not None
-    ]
-    if len(given) != 1:
-        raise CliError("give exactly one of --alpha, --probs, --markov")
     if args.alpha is not None:
         model = IIDModel.binary(parse_probability(args.alpha, exact))
     elif args.probs is not None:
         probs = tuple(parse_probability(tok, exact) for tok in args.probs.split(","))
         model = IIDModel(probs)
+    elif args.markov is None:  # argparse rejects two; only superpattern allows none
+        raise CliError("give exactly one of --alpha, --probs, --markov")
     else:
         toks = args.markov.split(",")
         if len(toks) != 2:
@@ -177,10 +172,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    if args.n < 1:
-        raise CliError("--n must be at least 1")
     if args.engine == "closed":
-        if args.probs is not None or args.markov is not None or args.alpha is None:
+        if args.alpha is None:
             raise CliError("the closed engine takes --alpha only")
         if args.exact:
             raise CliError(
@@ -215,10 +208,6 @@ def cmd_expect(args) -> int:
 def cmd_simulate(args) -> int:
     kind = IIDModel if args.model == "iid" else MarkovModel
     model = _parse_model(args, False, kind, f"--model {args.model}")
-    if (args.n is None) == (args.grid is None):
-        raise CliError("give exactly one of --n or --grid")
-    if args.trials < 2:
-        raise CliError("--trials must be at least 2")
     seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
     if args.fit_growth and args.out != "json":
@@ -371,8 +360,6 @@ def cmd_superpattern(args) -> int:
     if args.n is None:
         raise CliError("experiment mode needs --n (or pass a string)")
     model = _parse_model(args, exact=False)
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
     seed = _resolve_seed(args.seed)
     record = superpattern_experiment(model, args.n, args.trials, seed, workers=args.workers)
     doc = {
@@ -407,13 +394,6 @@ def _parse_kv(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
 
 
 def cmd_solve(args) -> int:
-    chosen = [
-        args.balance is not None,
-        bool(args.threshold),
-        args.occurrences is not None,
-    ]
-    if sum(chosen) != 1:
-        raise CliError("give exactly one of --balance, --threshold, --occurrences")
     if args.balance is not None:
         roots = solve_balance(args.balance)
         doc = {
@@ -460,10 +440,11 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_model_flags(sub) -> None:
-    sub.add_argument("--alpha", help="binary IID model: probability of letter 1")
-    sub.add_argument("--probs", help="IID letter probabilities p0,p1,...")
-    sub.add_argument("--markov", help="two-state chain: alpha,beta")
+def _add_model_flags(sub, required: bool = True) -> None:
+    group = sub.add_mutually_exclusive_group(required=required)
+    group.add_argument("--alpha", help="binary IID model: probability of letter 1")
+    group.add_argument("--probs", help="IID letter probabilities p0,p1,...")
+    group.add_argument("--markov", help="two-state chain: alpha,beta")
 
 
 def _add_out_flag(sub) -> None:
@@ -494,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimates of expected counts")
     p_sim.add_argument("--model", choices=("iid", "markov"), required=True)
     _add_model_flags(p_sim)
-    p_sim.add_argument("--n", type=int, help="single string length")
-    p_sim.add_argument("--grid", help="length grid start:stop[:step]")
+    lengths = p_sim.add_mutually_exclusive_group(required=True)
+    lengths.add_argument("--n", type=int, help="single string length")
+    lengths.add_argument("--grid", help="length grid start:stop[:step]")
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
     p_sim.add_argument("--workers", type=_positive_int, default=1)
@@ -515,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_super = sub.add_parser("superpattern", help="largest k with all length-k patterns embedded")
     p_super.add_argument("string", nargs="?", help="string to analyse")
     p_super.add_argument("--alphabet", type=int, help="alphabet size (default: inferred)")
-    _add_model_flags(p_super)
+    _add_model_flags(p_super, required=False)
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
     p_super.add_argument("--trials", type=int, default=1000)
     p_super.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
@@ -524,9 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_super.set_defaults(func=cmd_superpattern)
 
     p_solve = sub.add_parser("solve", help="balance and threshold equations, occurrence counts")
-    p_solve.add_argument("--balance", type=float, help="solve the balance equation for this target")
-    p_solve.add_argument("--threshold", action="store_true", help="solve H2(x) = x on (1/2, 1)")
-    p_solve.add_argument(
+    task = p_solve.add_mutually_exclusive_group(required=True)
+    task.add_argument("--balance", type=float, help="solve the balance equation for this target")
+    task.add_argument("--threshold", action="store_true", help="solve H2(x) = x on (1/2, 1)")
+    task.add_argument(
         "--occurrences",
         nargs="+",
         metavar="KEY=VALUE",

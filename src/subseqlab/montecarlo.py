@@ -2,12 +2,12 @@
 
 Reproducibility contract: trials run in blocks of BLOCK (4096; fewer past
 64 letters), and each block draws from its own counter-based random stream
-(Philox) keyed by ``(master seed, stream, block index)``. Workers split the
-trials on block boundaries, so a fixed seed gives bit-identical results no
-matter how many workers run them. Reductions always run over the per-trial
-values in trial order.
+(Philox) keyed by ``(master seed, stream, block index)``. Blocks are mapped
+in order, and a block's values depend on nothing else, so a fixed seed gives
+bit-identical results no matter how many workers run them. Reductions
+always run over the per-trial values in trial order.
 
-Every block runs through one loop, :func:`_trials`. It draws the letters of
+Every block runs through one function, :func:`_block`. It draws the letters of
 all its trials in ``(rows, w)`` slabs of at most CELLS uniforms (one row per
 trial), and a statistic consumes them one column (one letter of every
 trial) at a time: the counting recurrence of
@@ -31,6 +31,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .models import IIDModel, MarkovModel
@@ -202,41 +203,34 @@ def _greedy_block(columns, rows: int, d: int) -> list[int]:
     return k.tolist()
 
 
-def _trials(stat, model, n, trials, seed, stream, size, lo, hi) -> list[int]:
-    """``stat(columns, rows, d)`` for the trials of blocks lo..hi-1; block b
-    holds trials ``b*size`` up to ``(b+1)*size`` (or ``trials``) and draws
-    from its own stream."""
-    out: list[int] = []
-    for b in range(lo, hi):
-        rows = min(size, trials - b * size)
-        slabs = _slabs(model, rows, n, trial_rng(seed, b, stream))
-        out += stat((c for slab in slabs for c in slab.T), rows, model.d)
-    return out
+def _block(stat, model, n, trials, seed, stream, size, b) -> list[int]:
+    """``stat(columns, rows, d)`` for the trials of block b: trials
+    ``b*size`` up to ``(b+1)*size`` (or ``trials``), drawn from the block's
+    own stream."""
+    rows = min(size, trials - b * size)
+    slabs = _slabs(model, rows, n, trial_rng(seed, b, stream))
+    return stat((c for slab in slabs for c in slab.T), rows, model.d)
 
 
 def _run_trials(stat, model, n, trials, seed, stream, workers) -> list[int]:
     """Per-trial values in trial order, optionally computed across processes.
 
-    Blocks (of BLOCK trials, fewer past STATE // BLOCK letters) split into
-    at most one chunk per worker, per CPU and per block, and the pool gets
-    one process per chunk. A block's values depend only on (seed, stream,
-    block index, trials, d), so any chunking returns the identical list.
+    :func:`_block` is mapped over the block indices in order, by the builtin
+    map or by a pool's map in ``ceil(blocks / parts)`` blocks per task, one
+    process per task. A block's values depend only on (seed, stream, block
+    index, trials, d), so every worker count returns the identical list.
     """
     size = min(BLOCK, max(1, STATE // model.d))
     blocks = -(-trials // size)
     parts = min(workers, os.cpu_count() or 1, blocks)
+    run = partial(_block, stat, model, n, trials, seed, stream, size)
     if parts <= 1:
-        return _trials(stat, model, n, trials, seed, stream, size, 0, blocks)
+        return [v for values in map(run, range(blocks)) for v in values]
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-blocks // parts)
-    bounds = [(lo, min(lo + chunk, blocks)) for lo in range(0, blocks, chunk)]
-    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-        futures = [
-            pool.submit(_trials, stat, model, n, trials, seed, stream, size, lo, hi)
-            for lo, hi in bounds
-        ]
-        return [v for f in futures for v in f.result()]
+    with ProcessPoolExecutor(max_workers=-(-blocks // chunk)) as pool:
+        return [v for values in pool.map(run, range(blocks), chunksize=chunk) for v in values]
 
 
 @dataclass(frozen=True)
@@ -397,13 +391,13 @@ class SuperpatternRecord:
 
 
 def superpattern_experiment(
-    model, n: int, trials: int, seed: int, workers: int = 1, stream: int = 0
+    model, n: int, trials: int, seed: int, workers: int = 1
 ) -> SuperpatternRecord:
     """Sample the superpattern statistic: histogram, mean, and mean of k/n."""
     import numpy as np  # before _run_trials forks, so the workers inherit it
 
     _check_run(n, trials, seed, 1, "need at least 1 trial")
-    ks = _run_trials(_greedy_block, model, n, trials, seed, stream, workers)
+    ks = _run_trials(_greedy_block, model, n, trials, seed, 0, workers)
     hist = tuple(sorted(Counter(ks).items()))
     mean_k = float(np.mean(np.array(ks, dtype=np.float64)))
     mean_ratio = mean_k / n if n else 0.0

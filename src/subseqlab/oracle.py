@@ -190,7 +190,6 @@ def check_pair_structure(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("pair structure checks need n >= 2")
-    _guard_power(2, n)
     row = tree_row(2, n)
     parent = tree_row(2, n - 1)
     for m in range(2, 2**n, 2):
@@ -250,10 +249,7 @@ def superpattern_k_bruteforce(s: LetterString) -> int:
     ends = [0]
     k = 0
     while True:
-        if d ** (k + 1) > EXHAUSTIVE_GUARD:
-            raise SizeGuardError(
-                f"pattern space {d}**{k + 1} exceeds the exhaustive guard"
-            )
+        _guard_power(d, k + 1)
         nxt: list[int] = []
         complete = True
         for pos in ends:

@@ -93,6 +93,17 @@ def test_solve_balance_grazing_target():
     assert abs(roots.upper.x - 1 / 3) < 1e-4
 
 
+@pytest.mark.parametrize("target", [2 / 3, 2 / 3 - 1e-13], ids=["at-minimum", "just-below"])
+def test_solve_balance_grazing_double_root(target):
+    """At or just below g_min = 2/3 (exactly 0.6666666666666666 in floats)
+    both roots are the minimiser, with the defect g_min - target."""
+    x_min, g_min = balance_minimum()
+    roots = solve_balance(target)
+    assert roots.lower == roots.upper
+    assert roots.upper.x == x_min == 1 / 3
+    assert roots.upper.residual == g_min - target
+
+
 def test_solve_balance_rejects_out_of_range():
     with pytest.raises(ValueError):
         solve_balance(0.5)

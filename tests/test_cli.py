@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from subseqlab import MarkovModel, exhaustive_expectation
+from subseqlab import MarkovModel, cli, exhaustive_expectation
 from subseqlab.cli import ENV_SEED, main
+from subseqlab.output import dump_json
 
 
 def run_cli(capsys, *argv):
@@ -482,3 +483,91 @@ LAYOUTS = [
 def test_output_layouts(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, expected)
+
+
+# Each suite's fast side as ``wrong(real, *args)``, wrong on one case, and
+# the text naming that case.
+VERIFY_FAILURES = [
+    ("counting", "count_distinct",
+     lambda real, s: real(s) + (s.letters == (1, 0)), "mismatch at (1, 0)"),
+    ("rows", "tree_row",
+     lambda real, d, n: real(d, n) if n != 2 else (1, 2, 1, 2), "binary row 2 mismatch"),
+    ("pair-structure", "check_pair_structure",
+     lambda real, n: n != 5, "pair structure fails at row 5"),
+    ("fekete", "check_submultiplicativity",
+     lambda real, model, n, m: (n, m) != (2, 3), "fails for iid(1/2,1/2) at (2, 3)"),
+    ("engines", "iid_matrix_expectation",
+     lambda real, model, n: real(model, n + (model.d == 3)),
+     "iid engine mismatch for uniform ternary"),
+    ("superpattern", "superpattern_k",
+     lambda real, s: real(s) + (s.letters == (0, 1, 1, 0)), "greedy/brute mismatch at (0, 1, 1, 0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,name,wrong,detail", VERIFY_FAILURES, ids=[case[0] for case in VERIFY_FAILURES]
+)
+def test_verify_reports_a_failing_suite(capsys, monkeypatch, suite, name, wrong, detail):
+    """A wrong fast side fails its own suite only, naming the case."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: wrong(real, *args))
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert code == 1
+    *lines, last = out.splitlines()
+    assert last == "FAILURES above"
+    status = {line.split()[0]: line.split(None, 2)[1:] for line in lines}
+    assert len(status) == 6
+    assert status.pop(suite) == ["FAIL", detail]
+    assert all(state == "PASS" for state, _ in status.values())
+
+
+def test_malformed_seed_environment_is_rejected(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_SEED, "abc")
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "iid", "--alpha", "0.5", "--n", "8", "--trials", "5"
+    )
+    assert (code, out) == (1, "")
+    assert ENV_SEED in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["5", "a:b", "5:1", "1:5:0"])
+def test_malformed_grid_is_rejected(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "iid", "--alpha", "0.5", "--grid", grid, "--trials", "5"
+    )
+    assert (code, out) == (1, "")
+    assert "grid" in err and "Traceback" not in err
+
+
+def test_count_missing_file_is_rejected(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, "count", "--file", str(missing))
+    assert (code, out) == (1, "")
+    assert str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (("expect", "--engine", "matrix", "--alpha", "0.5", "--probs", "0.5,0.5", "--n", "4"),
+         ("--alpha", "--probs")),
+        (("simulate", "--model", "iid", "--alpha", "0.5", "--n", "5", "--grid", "5:9"),
+         ("--n", "--grid")),
+        (("solve", "--threshold", "--balance", "0.7"), ("--threshold", "--balance")),
+    ],
+    ids=["alpha-probs", "n-grid", "threshold-balance"],
+)
+def test_conflicting_flags_are_rejected(capsys, argv, flags):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert all(flag in err for flag in flags) and "Traceback" not in err
+
+
+def test_dump_json_atoms():
+    assert dump_json(None) == "null\n"
+    assert (dump_json({}), dump_json([])) == ("{}\n", "[]\n")
+    assert dump_json({"a": None, "b": {}, "c": []}) == (
+        '{\n  "a": null,\n  "b": {},\n  "c": []\n}\n'
+    )
+    with pytest.raises(TypeError):
+        dump_json({1, 2})

@@ -1,0 +1,72 @@
+"""Every name a package module imports is used.
+
+A stand-in for a linter's unused-import rule: each module under
+``src/subseqlab`` is parsed with ``ast`` and never run. A module-level
+import must be read somewhere in its module, and an import inside a
+function somewhere in that function. ``__init__.py`` re-exports its
+imports, and an import whose lines carry ``noqa`` is kept on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "subseqlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scopes(tree):
+    """Each node of the tree mapped to its innermost enclosing function, or
+    to the module outside any function."""
+    owner = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = scope
+            visit(child, child if isinstance(child, FUNCTIONS) else scope)
+
+    visit(tree, tree)
+    return owner
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` for each imported name its scope never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    unused = []
+    for node, scope in _scopes(tree).items():
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        read = {
+            n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append((name, node.lineno))
+    return unused
+
+
+def test_the_check_finds_a_stray_import():
+    source = (
+        "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n\n"
+        "def f():\n    import json\n    return pi\n"
+    )
+    assert unused_imports(source) == [("os", 1), ("tau", 3), ("json", 6)]
+
+
+def test_modules_were_found():
+    assert len(MODULES) >= 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

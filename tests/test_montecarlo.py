@@ -33,13 +33,13 @@ from subseqlab.montecarlo import (
     MAX_SEED,
     STATE,
     _chain_fill,
+    _block,
     _count_block,
     _count_distinct_fast,
     _greedy_block,
     _greedy_rounds,
     _run_trials,
     _slabs,
-    _trials,
     superpattern_k,
 )
 from subseqlab.oracle import enumerate_distinct, superpattern_k_bruteforce
@@ -126,7 +126,7 @@ def test_large_alphabet_blocks_split_across_workers():
     trials = 2 * size + 7  # three blocks, the last one partial
     phis = _run_trials(_count_block, model, 12, trials, 7, 0, workers=1)
     assert len(phis) == trials
-    assert phis[size : 2 * size] == _trials(_count_block, model, 12, trials, 7, 0, size, 1, 2)
+    assert phis[size : 2 * size] == _block(_count_block, model, 12, trials, 7, 0, size, 1)
     assert _run_trials(_count_block, model, 12, trials, 7, 0, workers=3) == phis
 
 
@@ -151,10 +151,10 @@ def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
     """A huge worker count asks for no more processes than there are blocks,
     and never more than the CPU count; the records do not change. A single
     block runs in this process."""
-    asked = []
+    asked, chunks = [], []
 
     class InlinePool:
-        """Runs each chunk in this process and records the pool size."""
+        """Maps in this process and records the pool size and chunk size."""
 
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -165,10 +165,9 @@ def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, items, chunksize):
+            chunks.append(chunksize)
+            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     if cpus is not None:
@@ -181,6 +180,7 @@ def test_pool_is_sized_by_chunks_not_by_workers(monkeypatch, cpus):
     k_one = superpattern_experiment(model, 10, trials, seed=4)
     assert superpattern_experiment(model, 10, trials, seed=4, workers=10**6) == k_one
     assert asked == ([cap] * 2 if cap > 1 else [])
+    assert chunks == ([-(-3 // cap)] * 2 if cap > 1 else [])
     estimate_expected_count(model, 10, 3, seed=4, workers=10**6)  # one block: no pool
     assert len(asked) == (2 if cap > 1 else 0)
 
@@ -195,8 +195,8 @@ def block_rows(model, rows, n, seed=13, stream=2):
 def test_trial_statistics_match_the_oracle(model):
     """Each row's count and superpattern k equal the brute-force values on
     the string the one sampler drew for that row."""
-    phis = _trials(_count_block, model, 9, 40, 13, 2, BLOCK, 0, 1)
-    ks = _trials(_greedy_block, model, 9, 40, 13, 2, BLOCK, 0, 1)
+    phis = _block(_count_block, model, 9, 40, 13, 2, BLOCK, 0)
+    ks = _block(_greedy_block, model, 9, 40, 13, 2, BLOCK, 0)
     for t, letters in enumerate(block_rows(model, 40, 9)):
         s = LetterString(Alphabet(model.d), tuple(letters))
         assert phis[t] == len(enumerate_distinct(s))
@@ -252,7 +252,7 @@ def test_block_counts_cross_the_int64_switch(monkeypatch, model, n):
     on past the int64 range."""
     rows = 40
     monkeypatch.setattr(montecarlo, "CELLS", rows * 7)
-    phis = _trials(_count_block, model, n, rows, 13, 2, BLOCK, 0, 1)
+    phis = _block(_count_block, model, n, rows, 13, 2, BLOCK, 0)
     assert phis == [_count_distinct_fast(r, model.d) for r in block_rows(model, rows, n)]
     if model.d == 1000 and n >= 64:
         assert max(phis) > np.iinfo(np.int64).max
@@ -261,7 +261,7 @@ def test_block_counts_cross_the_int64_switch(monkeypatch, model, n):
 def test_greedy_block_over_seventy_letters():
     """Rows of a 70-letter alphabet close rounds as the scalar scan does."""
     model = IIDModel.uniform(70)
-    ks = _trials(_greedy_block, model, 1000, 30, 13, 2, BLOCK, 0, 1)
+    ks = _block(_greedy_block, model, 1000, 30, 13, 2, BLOCK, 0)
     assert ks == [_greedy_rounds(r, 70) for r in block_rows(model, 30, 1000)]
     assert max(ks) >= 2
 
@@ -270,10 +270,10 @@ def test_block_skips_a_zero_probability_letter():
     model = IIDModel((0.5, 0.0, 0.5))
     rows = block_rows(model, 40, 64)
     assert 1 not in {c for r in rows for c in r}
-    assert _trials(_count_block, model, 64, 40, 13, 2, BLOCK, 0, 1) == [
+    assert _block(_count_block, model, 64, 40, 13, 2, BLOCK, 0) == [
         _count_distinct_fast(r, 3) for r in rows
     ]
-    assert _trials(_greedy_block, model, 64, 40, 13, 2, BLOCK, 0, 1) == [
+    assert _block(_greedy_block, model, 64, 40, 13, 2, BLOCK, 0) == [
         _greedy_rounds(r, 3) for r in rows
     ]
 

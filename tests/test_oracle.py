@@ -146,6 +146,23 @@ def test_pair_structure_small_rows():
         assert check_pair_structure(n), n
 
 
+# Row 3 is 1,3,3,2,2,3,3,1 over parents 1,2,2,1. Each corruption keeps the
+# pairs before it intact, so it fails the check it names and no earlier one.
+@pytest.mark.parametrize(
+    "rows",
+    [
+        {3: (1, 3, 4, 2, 2, 3, 3, 1)},  # the pair at m = 2 is unequal
+        {3: (1, 4, 4, 2, 2, 3, 3, 1)},  # m = 2 (mod 4): 4 is not 1 + 2
+        {2: (1, 2, 3, 1)},  # m = 0 (mod 4): parents 2 and 3 differ
+    ],
+    ids=["unequal-pair", "not-parent-sum", "parents-differ"],
+)
+def test_pair_structure_rejects_corrupted_rows(monkeypatch, rows):
+    real = oracle.tree_row
+    monkeypatch.setattr(oracle, "tree_row", lambda d, n: rows.get(n) or real(d, n))
+    assert check_pair_structure(3) is False
+
+
 def test_exhaustive_fair_binary():
     series = exhaustive_expectation(IIDModel.binary(Fraction(1, 2)), 4)
     assert series.values == (
