@@ -27,11 +27,12 @@ from .montecarlo import (
     superpattern_experiment,
     superpattern_k,
 )
+from .oracle import enumerate_distinct  # noqa: F401  (perfbench/traced.py wraps it here)
 from .oracle import (
     SizeGuardError,
+    _extend_distinct,
     check_pair_structure,
     check_submultiplicativity,
-    enumerate_distinct,
     exhaustive_expectation,
     superpattern_k_bruteforce,
     tree_row,
@@ -244,14 +245,24 @@ def _all_strings(d: int, max_n: int):
 
 
 def _verify_counting(max_n: int):
+    """Every short string's count against its brute-force subsequence set,
+    walking the prefix tree depth-first so that each set extends its
+    parent's by one letter."""
     binary_limit = min(max_n, 12)
     ternary_limit = max(2, min(8, max_n - 4))
     checked = 0
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
-        for s in _all_strings(d, limit):
-            if count_distinct(s) != len(enumerate_distinct(s)):
-                return False, f"mismatch at {s.letters}"
-            checked += 1
+        alphabet = Alphabet(d)
+        stack = [((), set())]
+        while stack:
+            prefix, subs = stack.pop()
+            for c in range(d):
+                letters, grown = prefix + (c,), _extend_distinct(subs, c)
+                if count_distinct(LetterString(alphabet, letters)) != len(grown):
+                    return False, f"mismatch at {letters}"
+                checked += 1
+                if len(letters) < limit:
+                    stack.append((letters, grown))
     return True, f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"
 
 
@@ -350,8 +361,12 @@ def cmd_tree_row(args) -> int:
 
 def cmd_superpattern(args) -> int:
     if args.string is not None:
-        if args.alpha or args.probs or args.markov:
+        if any(getattr(args, flag) is not None for flag in ("alpha", "probs", "markov")):
             raise CliError("pass either a string or a model, not both")
+        experiment = ("n", "trials", "seed", "workers")
+        given = [f"--{flag}" for flag in experiment if getattr(args, flag) is not None]
+        if given:
+            raise CliError(f"{', '.join(given)} only apply with a model, not with a string")
         alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
         s = LetterString.from_text(args.string, alphabet)
         doc = {"input": args.string, "d": s.alphabet.size, "n": len(s), "k": superpattern_k(s)}
@@ -361,7 +376,9 @@ def cmd_superpattern(args) -> int:
         raise CliError("experiment mode needs --n (or pass a string)")
     model = _parse_model(args, exact=False)
     seed = _resolve_seed(args.seed)
-    record = superpattern_experiment(model, args.n, args.trials, seed, workers=args.workers)
+    trials = 1000 if args.trials is None else args.trials
+    workers = 1 if args.workers is None else args.workers
+    record = superpattern_experiment(model, args.n, trials, seed, workers=workers)
     doc = {
         "model": model.describe(),
         "n": record.n,
@@ -499,9 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_super.add_argument("--alphabet", type=int, help="alphabet size (default: inferred)")
     _add_model_flags(p_super, required=False)
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
-    p_super.add_argument("--trials", type=int, default=1000)
+    # None marks a flag not given, which string mode rejects
+    p_super.add_argument("--trials", type=int, help="sampled strings (default: 1000)")
     p_super.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
-    p_super.add_argument("--workers", type=_positive_int, default=1)
+    p_super.add_argument("--workers", type=_positive_int, help="worker processes (default: 1)")
     _add_out_flag(p_super)
     p_super.set_defaults(func=cmd_superpattern)
 

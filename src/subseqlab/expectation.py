@@ -4,10 +4,12 @@ One recurrence gives ``E[count(S_n)]`` under the nonempty convention. It
 runs over a model's letter source (see ``IIDModel.letter_source``), so it
 serves IID strings over any alphabet and the two-state Markov chain alike.
 It tracks the expected new-count weight built up since each letter last
-occurred, costs O(d * m**2) per length for d letters and m hidden states,
-and runs in exact rational arithmetic when the model carries Fractions and
-in floats otherwise, where a row past the float64 range holds ln(E). The
-paper's closed form for IID binary strings stays here as a test reference.
+occurred and costs O(d * m**2) per length for d letters and m hidden states.
+When the model carries Fractions it runs exactly, on integer numerators at
+scale q0 * q**i (q0 and q the common denominators of the start and the
+steps), and builds one Fraction per row; otherwise it runs in floats, where
+a row past the float64 range holds ln(E). The paper's closed form for IID
+binary strings stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -110,13 +112,23 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     1), split by the state the source is in now. Appending letter c earns
     ``acc[c] @ steps[c]``; afterwards ``acc[c]`` restarts from the letter's
     total new weight, plus its old weight carried through every other letter.
-    Floats are kept at scale 2**-k (divided by 2**600, which is exact, once
-    ``total`` passes it); a row whose ``2**k * total`` overflows holds its ln.
+    Exact mode scales ``start`` by q0 and ``steps`` by q, the lcm of their
+    denominators, so after i letters ``acc`` and ``total`` are ints at scale
+    ``q0 * q**i`` and row i is one ``Fraction(total, q0 * q**i)``. Floats
+    run the same loop with q = q0 = 1 and are kept at scale 2**-k (divided
+    by 2**600, which is exact, once ``total`` passes it); a row whose
+    ``2**k * total`` overflows holds its ln.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     mode = _resolve_mode(model, mode)
     start, steps = (model if mode == "exact" else model.as_floats()).letter_source()
+    q0 = q = 1
+    if mode == "exact":
+        q0 = math.lcm(*(Fraction(p).denominator for p in start))
+        q = math.lcm(*(Fraction(p).denominator for step in steps for row in step for p in row))
+        start = [int(p * q0) for p in start]
+        steps = [[[int(p * q) for p in row] for row in step] for step in steps]
     letters, states = range(len(steps)), range(len(start))
     # column-major, so each entry of a row-vector product is one sum(map(mul))
     step_cols = [list(zip(*steps[c])) for c in letters]
@@ -125,20 +137,24 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
         for c in letters
     ]
     acc = [list(start) for _ in steps]
-    total = Fraction(0) if mode == "exact" else 0.0
+    total, scale = 0, q0
     values, k, log_rows = [], 0, 0
     for _ in range(n):
         earned = [[sum(map(mul, a, col)) for col in cols] for a, cols in zip(acc, step_cols)]
         weight = [sum(col) for col in zip(*earned)]
-        total += sum(weight)
+        total = total * q + sum(weight)
+        scale *= q
         acc = [
             [w + sum(map(mul, a, col)) for w, col in zip(weight, cols)]
             for a, cols in zip(acc, carry_cols)
         ]
-        if mode == "float" and total > 2.0**600:
+        if mode == "exact":
+            values.append(Fraction(total, scale))
+            continue
+        if total > 2.0**600:
             acc = [[math.ldexp(x, -600) for x in a] for a in acc]
             total, k = math.ldexp(total, -600), k + 600
-        if mode == "exact" or math.frexp(total)[1] + k <= 1024:  # 2**k * total is finite
+        if math.frexp(total)[1] + k <= 1024:  # 2**k * total is finite
             values.append(math.ldexp(total, k) if k else total)
         else:
             values.append(math.log(total) + k * math.log(2))

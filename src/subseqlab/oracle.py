@@ -62,9 +62,18 @@ def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
         )
     subs: set[tuple[int, ...]] = set()
     for letter in s:
-        subs |= {prev + (letter,) for prev in subs}
-        subs.add((letter,))
+        subs = _extend_distinct(subs, letter)
     return subs
+
+
+def _extend_distinct(subs: set, letter: int) -> set:
+    """The subsequence set of a string with ``letter`` appended, from the
+    string's own set ``subs`` (left as it is)."""
+    tail = (letter,)
+    grown = set(subs)
+    grown.update([prev + tail for prev in subs])
+    grown.add(tail)
+    return grown
 
 
 def _walk(start, steps, n: int, visit) -> None:

@@ -293,6 +293,35 @@ def test_superpattern_string_mode(capsys):
     assert out == "input,d,n,k\n0101,2,4,2\n"
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--probs", "--markov"])
+def test_superpattern_string_rejects_an_empty_model_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "superpattern", "0101", flag, "")
+    assert (code, out) == (1, "")
+    assert "pass either a string or a model, not both" in err
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        (("--n", "5", "--trials", "3"), ["--n", "--trials"]),
+        (("--seed", "0"), ["--seed"]),
+        (("--workers", "1", "--trials", "1000"), ["--trials", "--workers"]),
+    ],
+)
+def test_superpattern_string_rejects_experiment_flags(capsys, extra, named):
+    """Flags given at their experiment defaults are still rejected."""
+    code, out, err = run_cli(capsys, "superpattern", "0101", *extra)
+    assert (code, out) == (1, "")
+    assert f"error: {', '.join(named)} only apply with a model" in err
+
+
+def test_superpattern_experiment_defaults(capsys):
+    """Without --trials and --workers, experiment mode runs 1000 trials."""
+    code, out, _ = run_cli(capsys, "superpattern", "--alpha", "0.5", "--n", "10", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["trials"] == 1000
+
+
 def test_superpattern_experiment_mode(capsys):
     code, out, _ = run_cli(
         capsys, "superpattern", "--alpha", "0.5", "--n", "40",

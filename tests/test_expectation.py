@@ -3,9 +3,11 @@ recurrence, cross-checked against the oracle and against the paper's own
 constructions (the split-weight closed form and the 4 x 4 Markov matrix),
 which live here as reference implementations."""
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +354,39 @@ def test_exact_series_past_the_float_range_stay_rational():
     series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 1800)
     assert series.log_rows == 0
     assert series.final() == 2 * Fraction(3, 2) ** 1800 - 2
+
+
+def _perfbench_checks():
+    """``perfbench/checks.py``, loaded by path: its references are
+    independent of the engine."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Exact mode scales the start by q0 and the steps by q, the lcm of their
+# denominators. The 1/3,1/7 chain starts at (14/17, 3/17) with steps over
+# 21, so q0 != q; the others hold a zero letter, one letter, or a boundary
+# chain (0,1 alternates; 1,1/2 starts in state 1 and stays there).
+INTEGER_SCALE_MODELS = [
+    MarkovModel(Fraction(1, 3), Fraction(1, 7)),
+    IIDModel((Fraction(1, 3), Fraction(0), Fraction(2, 3))),
+    IIDModel((Fraction(1),)),
+    MarkovModel(Fraction(0), Fraction(1)),
+    MarkovModel(Fraction(1), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("model", INTEGER_SCALE_MODELS, ids=lambda m: m.describe())
+def test_integer_numerators_equal_oracle(model):
+    series = engine_series(model, 10)
+    assert series.values == exhaustive_expectation(model, 10).values
+    assert all(type(v) is Fraction for v in series.values)
+
+
+def test_integer_numerators_pin_uniform_d26_row():
+    """Row 200 of 26 uniform letters, against the symmetric closed form."""
+    want = _perfbench_checks().uniform_iid_exact(26, 200)[-1]
+    assert iid_matrix_expectation(IIDModel.uniform(26), 200).final() == want
