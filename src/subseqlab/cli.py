@@ -352,7 +352,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tree_row(args) -> int:
     row = tree_row(args.d, args.n)
-    sys.stdout.write(",".join(str(v) for v in row) + "\n")
+    sys.stdout.write(",".join(map(str, row)) + "\n")
     return 0
 
 

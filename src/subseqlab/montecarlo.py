@@ -241,7 +241,9 @@ class EstimateRecord:
     standard error of the counts. When any sampled count exceeds 2**53 the
     record flips to log space: ``mean`` becomes ln(arithmetic mean of the
     counts), computed by a stable log-sum-exp, and ``stderr`` becomes the
-    standard error of ln(count), a spread diagnostic on the log scale.
+    delta-method standard error of that ln(mean): the counts' sample
+    standard deviation over ``sqrt(trials)`` times their mean, the relative
+    error of the mean.
     """
 
     n: int
@@ -285,8 +287,12 @@ def estimate_expected_count(
         return EstimateRecord(n, mean, stderr, trials, seed, False)
     logs = np.array([math.log(p) for p in phis], dtype=np.float64)
     peak = float(logs.max())
-    log_mean = peak + math.log(float(np.exp(logs - peak).mean()))
-    stderr = float(logs.std(ddof=1) / math.sqrt(trials))
+    w = np.exp(logs - peak)
+    mean_w = float(w.mean())
+    log_mean = peak + math.log(mean_w)
+    # Delta method: the standard error of ln(mean) is that of the mean
+    # divided by the mean, and the common factor exp(peak) cancels.
+    stderr = float(w.std(ddof=1) / (math.sqrt(trials) * mean_w))
     return EstimateRecord(n, log_mean, stderr, trials, seed, True)
 
 

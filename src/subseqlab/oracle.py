@@ -17,7 +17,7 @@ from math import lcm
 
 from .expectation import ExpectationSeries
 from .models import IIDModel, MarkovModel
-from .strings import Alphabet, IncrementalCounter, LetterString
+from .strings import LetterString
 
 __all__ = [
     "ENUMERATION_MAX",
@@ -84,28 +84,32 @@ def _walk(start, steps, n: int, visit) -> None:
     prefix is pruned with its whole subtree. Children are visited in
     decreasing letter order, and each string reports
     ``visit(length, nu, weight)`` with ``nu`` the new-subsequence count of
-    its last letter. Prefix state is shared through counter snapshots, so
-    every string costs one push. The guard bounds the depth too, which keeps
-    one-letter walks off the recursion limit.
+    its last letter. The walk runs the counter's -1-convention recurrence in
+    place: ``base[c]`` holds the running total just before c's last
+    occurrence on the current path, and descending into a child overwrites
+    that one slot and puts it back on the way up, so every string costs one
+    recurrence step. The guard bounds the depth too, which keeps one-letter
+    walks off the recursion limit.
     """
     d = len(start)
     _guard_power(max(d, 2), n)
-    counter = IncrementalCounter(Alphabet(d))
     letters = range(d - 1, -1, -1)
+    base = [-1] * d
 
-    def down(depth: int, weights, path: int) -> None:
-        state = counter.snapshot()
-        for letter in letters:
-            w = path * weights[letter]
+    def down(depth: int, weights, path: int, total: int) -> None:
+        for c in letters:
+            w = path * weights[c]
             if w:
-                nu, _ = counter.push(letter)
+                b = base[c]
+                nu = total - b
                 visit(depth, nu, w)
                 if depth < n:
-                    down(depth + 1, steps[letter], w)
-                counter.restore(state)
+                    base[c] = total
+                    down(depth + 1, steps[c], w, total + nu)
+                    base[c] = b
 
     if n:
-        down(1, start, 1)
+        down(1, start, 1, 0)
 
 
 def tree_row(d: int, n: int) -> tuple[int, ...]:
@@ -116,7 +120,7 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     decreasing letter order, so the leftmost branch is the all-(d-1) string.
     For binary rows that reads 11..1 first and 00..0 last. Row 0 is the
     empty string with value 0. Row n is the walk with every weight 1,
-    keeping the new counts at depth n: O(d**n) pushes in total.
+    keeping the new counts at depth n: O(d**n) recurrence steps in total.
     """
     if d < 1:
         raise ValueError("alphabet size must be at least 1")

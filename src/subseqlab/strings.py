@@ -13,10 +13,11 @@ The counting recurrence lives here once, in two forms: the batch kernel
 :func:`_count_distinct_fast` (behind :func:`count_distinct`, and the
 reference for the Monte Carlo samplers, which run it across a block of
 trials at once) and the streaming :class:`IncrementalCounter` (behind the
-per-letter profiles of :func:`new_subseq_counts`, the oracle walks and the
-tree rows). Both store, per letter, the
-running total just before its last occurrence, with -1 for a letter not
-seen yet, so ``nu = total - before_last[c]`` needs no branch.
+per-letter profiles of :func:`new_subseq_counts`). Both store, per letter,
+the running total just before its last occurrence, with -1 for a letter
+not seen yet, so ``nu = total - before_last[c]`` needs no branch. The
+oracle's tree walk runs the same recurrence in place on one such table,
+undoing the one slot each step overwrites when it backs up.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import concurrent.futures
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from subseqlab import (
     estimate_expected_count,
     estimate_growth_constant,
     fit_growth_rate,
+    iid_matrix_expectation,
     sample_string,
     superpattern_experiment,
     trial_rng,
@@ -320,6 +322,20 @@ def test_estimate_calibration_across_seeds():
     hits = 0
     for seed in range(20):
         record = estimate_expected_count(IIDModel.binary(0.5), 12, 2000, seed=seed)
+        if abs(record.mean - truth) <= 4 * record.stderr:
+            hits += 1
+    assert hits >= 19
+
+
+def test_log_space_calibration_across_seeds():
+    """The same meta-check past 2**53: the log-space stderr is the error of
+    the printed ln(mean), so 4 sigma should cover ln of the exact value."""
+    exact = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 200, mode="exact")
+    truth = math.log(exact.value_at(200))
+    hits = 0
+    for seed in range(20):
+        record = estimate_expected_count(IIDModel.binary(0.5), 200, 2000, seed=seed)
+        assert record.log_space
         if abs(record.mean - truth) <= 4 * record.stderr:
             hits += 1
     assert hits >= 19

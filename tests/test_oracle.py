@@ -1,6 +1,7 @@
 """Tests for the brute-force oracles: enumeration, contribution trees,
 exhaustive expectations, submultiplicativity, and cover-length search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import extended
 from subseqlab import (
     BINARY,
+    Alphabet,
     ENUMERATION_MAX,
     IIDModel,
     LetterString,
@@ -21,12 +23,12 @@ from subseqlab import (
     enumerate_distinct,
     exhaustive_expectation,
     iid_matrix_expectation,
+    new_subseq_counts,
     superpattern_k_bruteforce,
     tree_row,
 )
 from subseqlab import oracle
 from subseqlab.montecarlo import superpattern_k
-from subseqlab.strings import IncrementalCounter
 
 random_binary = st.lists(st.integers(0, 1), max_size=12).map(
     lambda xs: LetterString.from_letters(xs, BINARY)
@@ -94,37 +96,53 @@ def test_walk_depth_hits_the_size_guard():
 
 
 @pytest.fixture
-def pushes(monkeypatch):
-    """Counts ``IncrementalCounter.push`` calls, with a cold oracle cache."""
+def visits(monkeypatch):
+    """Counts the strings ``oracle._walk`` reports to its visitor, with a cold
+    oracle cache."""
     calls = [0]
-    push = IncrementalCounter.push
+    walk = oracle._walk
 
-    def counted(self, letter):
-        calls[0] += 1
-        return push(self, letter)
+    def counted(start, steps, n, visit):
+        def counting(depth, nu, w):
+            calls[0] += 1
+            visit(depth, nu, w)
 
-    monkeypatch.setattr(IncrementalCounter, "push", counted)
+        walk(start, steps, n, counting)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
     oracle._exhaustive_expectation_cached.cache_clear()
     return calls
 
 
-def test_tree_row_pushes_every_prefix_once(pushes):
+def test_tree_row_pushes_every_prefix_once(visits):
     for n in range(7):
-        pushes[0] = 0
+        visits[0] = 0
         tree_row(3, n)
-        assert pushes[0] == sum(3**i for i in range(1, n + 1))
+        assert visits[0] == sum(3**i for i in range(1, n + 1))
 
 
-def test_walk_prunes_zero_probability_branches(pushes):
+def test_walk_prunes_zero_probability_branches(visits):
     """gamma = 1 and alpha = 1 leave one string; a zero letter leaves 2**i
     strings of each length i."""
     model = MarkovModel(1, Fraction(1, 2))
     assert model.gamma == 1
     exhaustive_expectation(model, 16)
-    assert pushes[0] == 16
-    pushes[0] = 0
+    assert visits[0] == 16
+    visits[0] = 0
     exhaustive_expectation(IIDModel((Fraction(1, 3), 0, Fraction(2, 3))), 9)
-    assert pushes[0] == 1022
+    assert visits[0] == 1022
+
+
+def test_tree_row_is_the_counter_on_every_string():
+    """Entry m of row n is the counter's last new count on the m-th length-n
+    string in the tree's order, so the walk's in-place recurrence and
+    ``IncrementalCounter`` agree on every string."""
+    for d in (1, 2, 3):
+        alphabet = Alphabet(d)
+        for n in range(1, 7):
+            strings = itertools.product(range(d - 1, -1, -1), repeat=n)
+            expected = tuple(new_subseq_counts(LetterString(alphabet, s))[-1] for s in strings)
+            assert tree_row(d, n) == expected, (d, n)
 
 
 def test_tree_row_sums_are_expectation_increments():
