@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .expectation import (
     ExpectationSeries,
-    asymptotic_constants,
     closed_form_binary,
     iid_matrix_expectation,
     markov_expectation,
@@ -71,7 +70,6 @@ __all__ = [
     "parse_probability",
     "ExpectationSeries",
     "closed_form_binary",
-    "asymptotic_constants",
     "iid_matrix_expectation",
     "markov_expectation",
     "ENUMERATION_MAX",

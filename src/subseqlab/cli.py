@@ -41,6 +41,7 @@ from .output import dump_json, render_csv
 from .strings import Alphabet, LetterString, count_distinct, new_subseq_counts
 
 ENV_SEED = "SUBSEQLAB_SEED"
+ROW_SLICE = 4096  # tree-row entries joined per write, so the row's text is never built whole
 _MODEL_FLAGS = {IIDModel: "--alpha or --probs", MarkovModel: "--markov alpha,beta"}
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -352,7 +353,9 @@ def cmd_verify(args) -> int:
 
 def cmd_tree_row(args) -> int:
     row = tree_row(args.d, args.n)
-    sys.stdout.write(",".join(map(str, row)) + "\n")
+    for lo in range(0, len(row), ROW_SLICE):
+        sys.stdout.write(("," if lo else "") + ",".join(map(str, row[lo : lo + ROW_SLICE])))
+    sys.stdout.write("\n")
     return 0
 
 

@@ -86,6 +86,12 @@ class IIDModel:
         """
         return (1,), tuple(((p,),) for p in self.probs)
 
+    def letter_rows(self) -> tuple:
+        """``(rows, after)``: ``rows[0]`` is the law of the first letter and
+        ``rows[after[c]]`` that of the letter after c. IID letters share one
+        row."""
+        return (self.probs,), (0,) * self.d
+
     def describe(self) -> str:
         return "iid(" + ",".join(str(p) for p in self.probs) + ")"
 
@@ -142,6 +148,12 @@ class MarkovModel:
             for c in (0, 1)
         )
         return (1 - g, g), steps
+
+    def letter_rows(self) -> tuple:
+        """``(rows, after)``: the stationary first letter in ``rows[0]``, and
+        the letter after c in ``rows[1 + c]``."""
+        a, b, g = self.alpha, self.beta, self.gamma
+        return ((1 - g, g), (1 - b, b), (1 - a, a)), (1, 2)
 
     def describe(self) -> str:
         return f"markov(alpha={self.alpha},beta={self.beta})"

@@ -13,7 +13,10 @@ trial), and a statistic consumes them one column (one letter of every
 trial) at a time: the counting recurrence of
 :func:`subseqlab.strings.count_distinct` run across rows, or the greedy
 rounds of the superpattern statistic. :func:`sample_string` is the 1-row
-case of the same sampler.
+case of the same sampler. Every letter comes from one inverse-CDF rule over
+the model's ``letter_rows()``, so the sampler needs no case per model:
+independent letters are drawn a slab at a time, chain letters a column at
+a time.
 
 Counts are exact integers per trial: int64 for the first INT64_COLUMNS
 letters, Python ints after. Once any count exceeds 2**53 a float64 can no
@@ -34,7 +37,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .models import IIDModel, MarkovModel
 from .strings import Alphabet, LetterString
 from .strings import _count_distinct_fast  # noqa: F401  (perfbench/crosscheck.py imports it from here)
 
@@ -81,59 +83,37 @@ def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chain_fill(u: np.ndarray, prev, model: MarkovModel) -> np.ndarray:
-    """Chain letters (as bools) for a ``(rows, w)`` slab of uniforms that
-    continues the letters ``prev``, or starts the strings when it is None.
-
-    The sequential rule draws a 1 when ``u < alpha`` after a 1 and when
-    ``u < beta`` after a 0. So where ``u < min(alpha, beta)`` the letter is 1
-    and where ``u >= max(alpha, beta)`` it is 0 whatever came before: these
-    are resets. Between resets a letter copies the one before it when
-    alpha > beta and flips it when alpha < beta, so each letter is the one at
-    the last reset, XOR the parity of the distance to it when flipping.
-    """
-    import numpy as np
-
-    alpha, beta = float(model.alpha), float(model.beta)
-    ones = u < min(alpha, beta)
-    reset = ones | (u >= max(alpha, beta))
-    if prev is None:  # the first letter comes from the stationary start
-        ones[:, 0] = u[:, 0] < float(model.gamma)
-        reset[:, 0] = True
-    cols = np.arange(u.shape[1])
-    last = np.maximum.accumulate(np.where(reset, cols, -1), axis=1)
-    letters = np.take_along_axis(ones, np.maximum(last, 0), axis=1)
-    if prev is not None:  # no reset yet: continue from prev, one column back
-        letters = np.where(last < 0, prev[:, None], letters)
-    if alpha < beta:
-        letters ^= ((cols - last) & 1).astype(bool)
-    return letters
-
-
 def _slabs(model, rows: int, n: int, rng: np.random.Generator):
     """Letters of ``rows`` strings of length n drawn from one stream, as
     ``(rows, w)`` integer slabs from left to right, ``w = CELLS // rows``.
 
-    Only one slab is held at a time, so a block of trials never holds its
-    whole ``(rows, n)`` letter matrix.
+    Each letter is the inverse CDF of its law at one uniform u:
+    ``min(#(cum <= u), d - 1)`` with ``cum`` the running sums of the row
+    :meth:`letter_rows` gives it. A model with one row has independent
+    letters, drawn a slab at a time; otherwise a slab is drawn a column at a
+    time, each string moving to row ``after[c]`` after letter c, and the
+    rows reached carry into the next slab. Only one slab is held at a time,
+    so a block of trials never holds its whole ``(rows, n)`` letter matrix.
     """
     import numpy as np
 
-    if isinstance(model, IIDModel):
-        cum = np.array(model.probs, dtype=np.float64).cumsum()
-    elif not isinstance(model, MarkovModel):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    table, after = model.letter_rows()
+    cum = np.array(table, dtype=np.float64).cumsum(axis=1)
+    after = np.array(after, dtype=np.intp)
+    top = model.d - 1
+    state = np.zeros(rows, dtype=np.intp)  # every string starts at row 0
     width = max(1, CELLS // rows)
-    prev = None
     for lo in range(0, n, width):
         u = rng.random((rows, min(width, n - lo)))
-        if isinstance(model, MarkovModel):
-            chain = _chain_fill(u, prev, model)
-            prev = chain[:, -1]
-            yield chain.astype(np.intp)
+        if len(table) == 1:
+            letters = np.searchsorted(cum[0], u, side="right")
+            np.minimum(letters, top, out=letters)
         else:
-            letters = np.searchsorted(cum, u, side="right")
-            yield np.minimum(letters, model.d - 1, out=letters)
+            letters = np.empty(u.shape, dtype=np.intp)
+            for j in range(u.shape[1]):
+                letters[:, j] = c = np.minimum((cum[state] <= u[:, j, None]).sum(axis=1), top)
+                state = after[c]
+        yield letters
 
 
 def _sample_letters(model, n: int, rng: np.random.Generator) -> list[int]:

@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import lcm
 
 from .expectation import ExpectationSeries
-from .models import IIDModel, MarkovModel
 from .strings import LetterString
 
 __all__ = [
@@ -152,10 +151,10 @@ def exhaustive_expectation(model, n: int) -> ExpectationSeries:
     depth-first walk that adds up per-length new weight. The model's
     probabilities are scaled by their common denominator q, so path weights
     are the integers ``q**i * Pr[T]`` and each length is divided by
-    ``q**i`` once. IID letters weigh the same after every letter; a Markov
-    string starts from the stationary distribution and continues with the
-    transition probabilities. Zero-probability branches are pruned, so
-    degenerate models cost only their support.
+    ``q**i`` once. The letter weights are the model's ``letter_rows()``: a
+    first letter weighs ``rows[0]`` and a letter after c weighs
+    ``rows[after[c]]``. Zero-probability branches are pruned, so degenerate
+    models cost only their support.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -167,24 +166,17 @@ def exhaustive_expectation(model, n: int) -> ExpectationSeries:
 
 @lru_cache(maxsize=128)
 def _exhaustive_expectation_cached(model, n: int) -> ExpectationSeries:
-    # rows[0] weighs the first letter and rows[1 + prev] the letter after
-    # prev. They are read off the model's fields, not its letter source, so
-    # the oracle stays independent of the engine it checks.
-    if isinstance(model, IIDModel):
-        rows = (model.probs,) * (model.d + 1)
-    elif isinstance(model, MarkovModel):
-        a, b, g = model.alpha, model.beta, model.gamma
-        rows = ((1 - g, g), (1 - b, b), (1 - a, a))
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    # The walk reads the model's letter rows, not its letter source, so the
+    # oracle stays independent of the engine it checks.
+    rows, after = model.letter_rows()
     q = lcm(*(Fraction(p).denominator for row in rows for p in row))
-    start, *steps = [tuple(int(p * q) for p in row) for row in rows]
+    weights = [tuple(int(p * q) for p in row) for row in rows]
     new_weight = [0] * (n + 1)
 
     def add(depth: int, nu: int, w: int) -> None:
         new_weight[depth] += nu * w
 
-    _walk(start, steps, n, add)
+    _walk(weights[0], [weights[r] for r in after], n, add)
     values = []
     acc = 0  # q**i * E[count(S_i)]
     for i in range(1, n + 1):
@@ -219,7 +211,7 @@ def check_pair_structure(n: int) -> bool:
     return True
 
 
-def check_submultiplicativity(model: IIDModel, n: int, m: int) -> bool:
+def check_submultiplicativity(model, n: int, m: int) -> bool:
     """Exact check that empty-inclusive expected counts are submultiplicative.
 
     With ``psi(i) = E[count(S_i)] + 1`` (the empty subsequence included),
@@ -228,9 +220,10 @@ def check_submultiplicativity(model: IIDModel, n: int, m: int) -> bool:
     n = m = 2, where E[count] values (1, 5/2, 19/4, 65/8) give
     65/8 > (5/2)**2. Splitting a string into a prefix and a suffix maps
     each subsequence to a pair of possibly-empty halves, which is where the
-    inequality (and the need for the empty subsequence) comes from.
+    inequality (and the need for the empty subsequence) comes from. The
+    model must have independent letters: one letter row.
     """
-    if not isinstance(model, IIDModel):
+    if len(model.letter_rows()[0]) > 1:
         raise TypeError("submultiplicativity checks apply to IID models")
     if n < 1 or m < 1:
         raise ValueError("both lengths must be at least 1")

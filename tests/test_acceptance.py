@@ -13,12 +13,12 @@ import sys
 import time
 from fractions import Fraction
 
+from reference import asymptotic_constants
 from subseqlab import (
     Alphabet,
     IIDModel,
     LetterString,
     MarkovModel,
-    asymptotic_constants,
     check_pair_structure,
     check_submultiplicativity,
     closed_form_binary,

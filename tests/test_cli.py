@@ -179,6 +179,16 @@ def test_tree_row_output(capsys):
     assert out == "1,3,3,2,2,3,3,1\n"
 
 
+@pytest.mark.parametrize("d,n", [(2, 13), (3, 8)])
+def test_tree_row_streams_the_joined_row(capsys, d, n):
+    """A row of two whole slices, and one whose last slice is partial,
+    prints as one join."""
+    assert d**n > cli.ROW_SLICE
+    code, out, _ = run_cli(capsys, "tree-row", "--d", str(d), "--n", str(n))
+    assert code == 0
+    assert out == ",".join(map(str, cli.tree_row(d, n))) + "\n"
+
+
 def test_tree_row_size_guard_exit_code(capsys):
     # A one-letter row is a single string, but its walk is 5000 deep.
     for d, n in (("2", "30"), ("1", "5000")):

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import asymptotic_constants
 from subseqlab import (
     IIDModel,
     MarkovModel,
-    asymptotic_constants,
     closed_form_binary,
     exhaustive_expectation,
     iid_matrix_expectation,

@@ -14,12 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import asymptotic_constants
 from subseqlab import (
     Alphabet,
     IIDModel,
     LetterString,
     MarkovModel,
-    asymptotic_constants,
     closed_form_binary,
     estimate_expected_count,
     estimate_growth_constant,
@@ -34,7 +34,6 @@ from subseqlab.montecarlo import (
     BLOCK,
     MAX_SEED,
     STATE,
-    _chain_fill,
     _block,
     _count_block,
     _count_distinct_fast,
@@ -208,35 +207,49 @@ def test_trial_statistics_match_the_oracle(model):
 CHAINS = [(0.8, 0.3), (0.3, 0.8), (0.5, 0.5), (0, 1), (1, 0.5)]
 
 
-def sequential_chain(u, model):
-    """The chain's letter-by-letter rule: a 1 when u < alpha after a 1 and
-    when u < beta after a 0, starting from the stationary probability."""
+def chain_reference(u, model):
+    """The chain read letter by letter: a 1 when u >= 1 - P(1 | prev), with
+    P(1 | 1) = alpha and P(1 | 0) = beta, and gamma for the first letter."""
     alpha, beta = float(model.alpha), float(model.beta)
     out = []
     for row in u:
         p_one, letters = float(model.gamma), []
         for x in row:
-            letters.append(bool(x < p_one))
+            letters.append(int(x >= 1 - p_one))
             p_one = alpha if letters[-1] else beta
         out.append(letters)
     return out
 
 
+class Planted:
+    """A stand-in generator that hands out the columns of ``u`` in order."""
+
+    def __init__(self, u):
+        self.u, self.lo = u, 0
+
+    def random(self, shape):
+        rows, w = shape
+        assert rows == len(self.u)
+        self.lo += w
+        return self.u[:, self.lo - w : self.lo]
+
+
 @pytest.mark.parametrize("alpha,beta", CHAINS)
-def test_chain_fill_matches_the_sequential_rule(alpha, beta):
-    """The vectorised fill equals the sequential rule bit for bit, on
-    uniforms that include alpha, beta and gamma themselves, and a slab that
-    continues from the last column of the one before gives the same letters."""
+def test_chain_slabs_match_the_letter_by_letter_rule(monkeypatch, alpha, beta):
+    """The sampled chain equals the letter-by-letter rule, on uniforms that
+    include the thresholds 1 - alpha, 1 - beta and 1 - gamma themselves,
+    with slabs that end mid-string so each string carries its state across
+    three of them."""
     model = MarkovModel(alpha, beta)
     rng = np.random.default_rng(5)
     u = rng.random((30, 50))
     planted = rng.random(u.shape) < 0.3
-    u[planted] = rng.choice([alpha, beta, float(model.gamma)], planted.sum())
-    expected = sequential_chain(u, model)
-    assert _chain_fill(u.copy(), None, model).tolist() == expected
-    head = _chain_fill(u[:, :17].copy(), None, model)
-    tail = _chain_fill(u[:, 17:].copy(), head[:, -1], model)
-    assert np.concatenate([head, tail], axis=1).tolist() == expected
+    edges = [1 - float(alpha), 1 - float(beta), 1 - float(model.gamma)]
+    u[planted] = rng.choice(edges, planted.sum())
+    monkeypatch.setattr(montecarlo, "CELLS", 30 * 17)
+    slabs = list(_slabs(model, 30, 50, Planted(u)))
+    assert [slab.shape[1] for slab in slabs] == [17, 17, 16]
+    assert np.concatenate(slabs, axis=1).tolist() == chain_reference(u, model)
 
 
 COUNT_MODELS = [

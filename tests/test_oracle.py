@@ -225,6 +225,11 @@ def test_submultiplicativity_fair_binary():
             assert check_submultiplicativity(IIDModel.binary(Fraction(1, 2)), n, m)
 
 
+def test_submultiplicativity_rejects_a_chain():
+    with pytest.raises(TypeError, match="IID"):
+        check_submultiplicativity(MarkovModel(Fraction(1, 2), Fraction(1, 2)), 2, 2)
+
+
 def test_submultiplicativity_needs_empty_convention():
     """Dropping the empty subsequence breaks the bound immediately:
     E[count(4)] = 65/8 while (E[count(2)])^2 = 25/4."""
