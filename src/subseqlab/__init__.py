@@ -29,7 +29,6 @@ from .montecarlo import (
     GrowthFit,
     SuperpatternRecord,
     estimate_expected_count,
-    estimate_growth_constant,
     fit_growth_rate,
     sample_string,
     superpattern_experiment,
@@ -88,7 +87,6 @@ __all__ = [
     "sample_string",
     "estimate_expected_count",
     "fit_growth_rate",
-    "estimate_growth_constant",
     "superpattern_k",
     "superpattern_experiment",
     "RootResult",

@@ -69,16 +69,12 @@ def binary_entropy(x: float) -> float:
 def balance_value(x: float) -> float:
     """``g(x) = 2**x * x**x * (1-x)**(1-x)``, extended continuously to [0, 1].
 
-    ``x**x -> 1`` as x -> 0, and likewise for the mirrored factor at x = 1,
-    so g(0) = 1 and g(1) = 2.
+    ``x**x -> 1`` as x -> 0, which is Python's ``0.0 ** 0.0 == 1.0``, and
+    likewise for the mirrored factor at x = 1, so g(0) = 1 and g(1) = 2.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"balance argument must lie in [0, 1], got {x!r}")
-
-    def self_power(v: float) -> float:
-        return 1.0 if v == 0 else v**v
-
-    return 2.0**x * self_power(x) * self_power(1.0 - x)
+    return 2.0**x * x**x * (1.0 - x) ** (1.0 - x)
 
 
 def _bisect(f, lo: float, hi: float, target: float = 0.0) -> RootResult:

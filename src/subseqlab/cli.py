@@ -12,6 +12,7 @@ seed comes from the SUBSEQLAB_SEED environment variable (0 when unset).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import asdict
@@ -23,7 +24,7 @@ from .expectation import iid_matrix_expectation, markov_expectation
 from .models import IIDModel, MarkovModel, parse_probability
 from .montecarlo import (
     estimate_expected_count,
-    estimate_growth_constant,
+    fit_growth_rate,
     superpattern_experiment,
     superpattern_k,
 )
@@ -38,7 +39,7 @@ from .oracle import (
     tree_row,
 )
 from .output import dump_json, render_csv
-from .strings import Alphabet, LetterString, count_distinct, new_subseq_counts
+from .strings import BINARY, Alphabet, LetterString, count_distinct, new_subseq_counts
 
 ENV_SEED = "SUBSEQLAB_SEED"
 ROW_SLICE = 4096  # tree-row entries joined per write, so the row's text is never built whole
@@ -212,37 +213,28 @@ def cmd_simulate(args) -> int:
     model = _parse_model(args, False, kind, f"--model {args.model}")
     seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
-    if args.fit_growth and args.out != "json":
-        raise CliError("--fit-growth reports through JSON; add --out json")
-    fit = None
-    if args.fit_growth:
-        growth = estimate_growth_constant(model, ns, args.trials, seed, workers=args.workers)
-        records = list(growth.records)
-        fit = {k: getattr(growth, k) for k in ("c", "slope", "intercept", "r_squared", "clamped")}
-    else:
-        records = [
-            estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
-            for idx, n in enumerate(ns)
-        ]
+    if args.fit_growth:  # checked before sampling; grid lengths are sorted, distinct, >= 0
+        if args.out != "json":
+            raise CliError("--fit-growth reports through JSON; add --out json")
+        if len(ns) < 3:
+            raise CliError("growth fit needs at least 3 distinct grid lengths")
+        if ns[0] < 1:
+            raise CliError(
+                f"growth fit takes ln of the mean count, so lengths must be at least 1; got {ns[:1]}"
+            )
+    records = [
+        estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
+        for idx, n in enumerate(ns)
+    ]
     rows = [asdict(r) for r in records]
     doc = {"model": model.describe(), "rows": rows}
-    if fit is not None:
-        doc["fit"] = fit
+    if args.fit_growth:
+        doc["fit"] = asdict(fit_growth_rate(ns, [r.log_mean() for r in records]))
     _emit(args.out, doc, ("n", "mean", "stderr", "trials", "seed"), rows)
     return 0
 
 
 # ---------------------------------------------------------------- verify
-
-
-def _all_strings(d: int, max_n: int):
-    """Every string over d letters of length 1..max_n, shortest first."""
-    alphabet = Alphabet(d)
-    strings = [()]
-    for _ in range(max_n):
-        strings = [s + (c,) for s in strings for c in range(d)]
-        for letters in strings:
-            yield LetterString(alphabet, letters)
 
 
 def _verify_counting(max_n: int):
@@ -318,9 +310,11 @@ def _verify_engines(max_n: int):
 
 def _verify_superpattern(max_n: int):
     top = min(max_n, 12)
-    for s in _all_strings(2, top):
-        if superpattern_k(s) != superpattern_k_bruteforce(s):
-            return False, f"greedy/brute mismatch at {s.letters}"
+    for n in range(1, top + 1):
+        for letters in itertools.product(range(2), repeat=n):
+            s = LetterString(BINARY, letters)
+            if superpattern_k(s) != superpattern_k_bruteforce(s):
+                return False, f"greedy/brute mismatch at {letters}"
     return True, f"all binary strings n<={top}"
 
 
@@ -382,15 +376,8 @@ def cmd_superpattern(args) -> int:
     trials = 1000 if args.trials is None else args.trials
     workers = 1 if args.workers is None else args.workers
     record = superpattern_experiment(model, args.n, trials, seed, workers=workers)
-    doc = {
-        "model": model.describe(),
-        "n": record.n,
-        "trials": record.trials,
-        "seed": record.seed,
-        "mean_k": record.mean_k,
-        "mean_ratio": record.mean_ratio,
-        "histogram": {str(k): c for k, c in record.histogram},
-    }
+    histogram = {str(k): c for k, c in record.histogram}
+    doc = {"model": model.describe(), **asdict(record), "histogram": histogram}
     rows = [{"k": k, "count": c} for k, c in record.histogram]
     _emit(args.out, doc, ("k", "count"), rows)
     return 0
@@ -419,8 +406,7 @@ def cmd_solve(args) -> int:
         doc = {
             "equation": "2^x * x^x * (1-x)^(1-x) = target",
             "target": args.balance,
-            "lower": None if roots.lower is None else asdict(roots.lower),
-            "upper": asdict(roots.upper),
+            **asdict(roots),
         }
     elif args.threshold:
         root = occurrence_threshold()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -53,7 +53,6 @@ __all__ = [
     "sample_string",
     "estimate_expected_count",
     "fit_growth_rate",
-    "estimate_growth_constant",
     "superpattern_k",
     "superpattern_experiment",
 ]
@@ -285,7 +284,6 @@ class GrowthFit:
     intercept: float
     r_squared: float
     clamped: bool
-    records: tuple = ()
 
 
 DEGENERATE_SLOPE_EPS = 0.05
@@ -325,31 +323,6 @@ def fit_growth_rate(ns, log_values) -> GrowthFit:
     )
 
 
-def estimate_growth_constant(
-    model, n_grid, trials: int, seed: int, workers: int = 1
-) -> GrowthFit:
-    """Monte Carlo growth constant for the expected count.
-
-    Estimates the expected count at each grid length (one independent
-    substream per length), then fits the log means against n. The returned
-    fit carries the per-length records.
-    """
-    ns = sorted(set(int(x) for x in n_grid))
-    if len(ns) < 3:
-        raise ValueError("growth fit needs at least 3 distinct grid lengths")
-    short = [n for n in ns if n < 1]
-    if short:
-        raise ValueError(
-            f"growth fit takes ln of the mean count, so lengths must be at least 1; got {short}"
-        )
-    records = tuple(
-        estimate_expected_count(model, n, trials, seed, workers=workers, stream=idx)
-        for idx, n in enumerate(ns)
-    )
-    fit = fit_growth_rate(ns, [r.log_mean() for r in records])
-    return replace(fit, records=records)
-
-
 def superpattern_k(s: LetterString) -> int:
     """Largest k such that every length-k string over the alphabet is a
     subsequence of ``s``.
@@ -371,9 +344,9 @@ class SuperpatternRecord:
     n: int
     trials: int
     seed: int
-    histogram: tuple[tuple[int, int], ...]
     mean_k: float
     mean_ratio: float
+    histogram: tuple[tuple[int, int], ...]
 
 
 def superpattern_experiment(

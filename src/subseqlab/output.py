@@ -2,8 +2,10 @@
 
 One scalar format serves both layouts: floats with 17 significant digits
 (round-trip exact), exact rationals as "p/q" (a JSON string), booleans as
-true/false. CSV follows RFC 4180 with a mandatory header row. JSON objects
-keep insertion order, so a fixed input yields byte-identical output.
+true/false. A non-finite float has no CSV or JSON form and raises
+ValueError, which the CLI reports as invalid input. CSV follows RFC 4180
+with a mandatory header row. JSON objects keep insertion order, so a fixed
+input yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json as _json
+import math
 from fractions import Fraction
 
 __all__ = ["dump_json", "render_csv"]
@@ -23,6 +26,8 @@ def fmt_scalar(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"cannot print the non-finite number {v!r}")
         return format(float(v), ".17g")
     return str(v)
 

@@ -9,15 +9,19 @@ Letters are integers ``0..d-1``. Counts are plain Python ints, which are
 arbitrary precision; a length-n binary string can reach ``2**n - 1``
 distinct subsequences, far past any fixed-width integer.
 
-The counting recurrence lives here once, in two forms: the batch kernel
-:func:`_count_distinct_fast` (behind :func:`count_distinct`, and the
-reference for the Monte Carlo samplers, which run it across a block of
-trials at once) and the streaming :class:`IncrementalCounter` (behind the
-per-letter profiles of :func:`new_subseq_counts`). Both store, per letter,
-the running total just before its last occurrence, with -1 for a letter
-not seen yet, so ``nu = total - before_last[c]`` needs no branch. The
-oracle's tree walk runs the same recurrence in place on one such table,
-undoing the one slot each step overwrites when it backs up.
+The counting recurrence is written in four forms, each shaped by what its
+caller holds. Two live here: the batch kernel :func:`_count_distinct_fast`
+(behind :func:`count_distinct`, one string as a list of letters) and the
+streaming :class:`IncrementalCounter` (behind the per-letter profiles of
+:func:`new_subseq_counts`, one letter at a time). ``montecarlo._count_block``
+runs it on numpy arrays across a block of sampled strings, one letter of
+each per step, since a Python loop per trial would dominate sampling.
+``oracle._walk`` runs it in place on one table during its depth-first
+walk, undoing the one slot each step overwrites when it backs up, so each
+string of the tree costs one step and no state is copied. All four store,
+per letter, the running total just before its last occurrence, with -1
+for a letter not seen yet, so ``nu = total - before_last[c]`` needs no
+branch.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 roots, the occurrence threshold, and expected pattern occurrences."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from subseqlab import (
     occurrence_threshold,
     solve_balance,
 )
+from subseqlab.analysis import _bisect
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -207,3 +209,21 @@ def test_expected_occurrences_rejects_chains_by_type():
         expected_occurrences(4, LetterString.from_text("01"), MarkovModel(0.5, 0.5))
     with pytest.raises(TypeError, match="MarkovModel"):
         expected_occurrences(1, LetterString.from_text("01"), MarkovModel(0.5, 0.5))
+
+
+# Inputs each check of this layer refuses, with the message it raises.
+REJECTED = [
+    pytest.param(lambda: binary_entropy(1.5), "entropy argument must lie in [0, 1], got 1.5",
+                 id="entropy"),
+    pytest.param(lambda: balance_value(-0.1), "balance argument must lie in [0, 1], got -0.1",
+                 id="balance"),
+    pytest.param(lambda: expected_occurrences(-1, LetterString.from_text(""), IIDModel.binary(0.5)),
+                 "n must be nonnegative", id="occurrences-n"),
+    pytest.param(lambda: _bisect(lambda x: 1.0, 0.0, 1.0), "no sign change on [0.0, 1.0]",
+                 id="bisect"),
+]
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -5,6 +5,7 @@ two determinism tests shell out to compare raw bytes across runs.
 """
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 
 from subseqlab import MarkovModel, cli, exhaustive_expectation
 from subseqlab.cli import ENV_SEED, main
-from subseqlab.output import dump_json
+from subseqlab.output import dump_json, render_csv
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,27 @@ def test_simulate_fit_rejects_length_zero(capsys):
     assert "at least 1; got [0]" in err
 
 
+@pytest.mark.parametrize(
+    "lengths,message",
+    [
+        (("--grid", "0:4"), "growth fit takes ln of the mean count, so lengths must be at least 1; "
+                            "got [0]"),
+        (("--n", "5"), "growth fit needs at least 3 distinct grid lengths"),
+    ],
+    ids=["length-zero", "one-length"],
+)
+def test_simulate_fit_checks_the_grid_before_sampling(capsys, monkeypatch, lengths, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the grid was checked")
+
+    monkeypatch.setattr(cli, "estimate_expected_count", no_sampling)
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "iid", "--alpha", "0.5", *lengths,
+        "--fit-growth", "--out", "json",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_simulate_fit_requires_json(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--model", "iid", "--alpha", "0.5",
@@ -409,6 +431,15 @@ def test_solve_occurrences_log(capsys):
         assert named in err
 
 
+def test_solve_prints_no_non_finite_number(capsys):
+    """A zero-probability pattern has ln E = -inf, which JSON cannot hold."""
+    code, out, err = run_cli(
+        capsys, "solve", "--occurrences", "n=5", "pattern=01", "alpha=0", "log=true"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: cannot print the non-finite number -inf\n"
+
+
 def test_solve_requires_exactly_one_task(capsys):
     code, _, _ = run_cli(capsys, "solve")
     assert code == 1
@@ -525,26 +556,34 @@ def test_output_layouts(capsys, argv, expected):
 
 
 # Each suite's fast side as ``wrong(real, *args)``, wrong on one case, and
-# the text naming that case.
-VERIFY_FAILURES = [
-    ("counting", "count_distinct",
-     lambda real, s: real(s) + (s.letters == (1, 0)), "mismatch at (1, 0)"),
-    ("rows", "tree_row",
-     lambda real, d, n: real(d, n) if n != 2 else (1, 2, 1, 2), "binary row 2 mismatch"),
-    ("pair-structure", "check_pair_structure",
-     lambda real, n: n != 5, "pair structure fails at row 5"),
-    ("fekete", "check_submultiplicativity",
-     lambda real, model, n, m: (n, m) != (2, 3), "fails for iid(1/2,1/2) at (2, 3)"),
-    ("engines", "iid_matrix_expectation",
-     lambda real, model, n: real(model, n + (model.d == 3)),
-     "iid engine mismatch for uniform ternary"),
-    ("superpattern", "superpattern_k",
-     lambda real, s: real(s) + (s.letters == (0, 1, 1, 0)), "greedy/brute mismatch at (0, 1, 1, 0)"),
-]
+# the text naming that case, keyed by test id.
+VERIFY_FAILURES = {
+    "counting": ("counting", "count_distinct",
+                 lambda real, s: real(s) + (s.letters == (1, 0)), "mismatch at (1, 0)"),
+    "rows": ("rows", "tree_row",
+             lambda real, d, n: real(d, n) if n != 2 else (1, 2, 1, 2), "binary row 2 mismatch"),
+    "pair-structure": ("pair-structure", "check_pair_structure",
+                       lambda real, n: n != 5, "pair structure fails at row 5"),
+    "fekete": ("fekete", "check_submultiplicativity",
+               lambda real, model, n, m: (n, m) != (2, 3), "fails for iid(1/2,1/2) at (2, 3)"),
+    "engines": ("engines", "iid_matrix_expectation",
+                lambda real, model, n: real(model, n + (model.d == 3)),
+                "iid engine mismatch for uniform ternary"),
+    "superpattern": ("superpattern", "superpattern_k",
+                     lambda real, s: real(s) + (s.letters == (0, 1, 1, 0)),
+                     "greedy/brute mismatch at (0, 1, 1, 0)"),
+    "rows-ternary": ("rows", "tree_row",
+                     lambda real, d, n: real(d, n) if d == 2 else (0,), "ternary row 2 mismatch"),
+    "engines-iid": ("engines", "iid_matrix_expectation",
+                    lambda real, model, n: real(model, n + (model.d == 2)),
+                    "iid engine mismatch for iid(1/2,1/2)"),
+    "engines-markov": ("engines", "markov_expectation",
+                       lambda real, model, n: real(model, n + 1), "markov engine mismatch"),
+}
 
 
 @pytest.mark.parametrize(
-    "suite,name,wrong,detail", VERIFY_FAILURES, ids=[case[0] for case in VERIFY_FAILURES]
+    "suite,name,wrong,detail", list(VERIFY_FAILURES.values()), ids=list(VERIFY_FAILURES)
 )
 def test_verify_reports_a_failing_suite(capsys, monkeypatch, suite, name, wrong, detail):
     """A wrong fast side fails its own suite only, naming the case."""
@@ -600,6 +639,39 @@ def test_conflicting_flags_are_rejected(capsys, argv, flags):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert all(flag in err for flag in flags) and "Traceback" not in err
+
+
+# Inputs each CLI check refuses, with the error line it prints.
+REJECTED = [
+    (("simulate", "--model", "iid", "--alpha", "0.5", "--n", "8", "--workers", "x"),
+     "argument --workers: expected an integer, got 'x'"),
+    (("superpattern", "--n", "5"), "give exactly one of --alpha, --probs, --markov"),
+    (("simulate", "--model", "markov", "--markov", "0.5", "--n", "8"),
+     "--markov takes two probabilities: alpha,beta"),
+    (("count",), "no input: pass strings as arguments or with --file"),
+    (("verify", "--max-n", "1"), "--max-n must be at least 2"),
+    (("solve", "--occurrences", "n5", "pattern=01", "alpha=0.5"), "expected key=value, got 'n5'"),
+    (("solve", "--occurrences", "n=5", "pattern=01"), "--occurrences needs alpha"),
+    (("solve", "--occurrences", "n=x", "pattern=01", "alpha=0.5"),
+     "n must be an integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", REJECTED,
+    ids=["workers", "no-model", "markov-pair", "count-no-input", "max-n", "kv-token",
+         "kv-missing", "kv-n"],
+)
+def test_cli_rejects_bad_input(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_emitters_refuse_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite number"):
+        dump_json({"x": [1.5, value]})
+    with pytest.raises(ValueError, match="non-finite number"):
+        render_csv(["x"], [[1.5], [value]])
 
 
 def test_dump_json_atoms():

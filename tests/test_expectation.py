@@ -6,6 +6,7 @@ which live here as reference implementations."""
 import importlib.util
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from subseqlab import (
     exhaustive_expectation,
     iid_matrix_expectation,
     markov_expectation,
+    parse_probability,
 )
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
@@ -390,3 +392,29 @@ def test_integer_numerators_pin_uniform_d26_row():
     """Row 200 of 26 uniform letters, against the symmetric closed form."""
     want = _perfbench_checks().uniform_iid_exact(26, 200)[-1]
     assert iid_matrix_expectation(IIDModel.uniform(26), 200).final() == want
+
+
+# Inputs each check of the model and engine layers refuses, with the
+# message it raises.
+REJECTED = [
+    pytest.param(lambda: parse_probability("x"), "cannot parse probability 'x'", id="parse"),
+    pytest.param(lambda: IIDModel((1.5, -0.5)), "letter probability must lie in [0, 1], got 1.5",
+                 id="letter-range"),
+    pytest.param(lambda: MarkovModel(0.5, 2), "beta must lie in [0, 1], got 2", id="chain-range"),
+    pytest.param(lambda: IIDModel(()), "need at least one letter probability", id="empty"),
+    pytest.param(lambda: IIDModel((Fraction(1, 2), Fraction(1, 3))),
+                 "probabilities must sum to 1, got 5/6", id="exact-sum"),
+    pytest.param(lambda: IIDModel((0.5, 0.4)),
+                 "probabilities must sum to 1 within 1e-12, got 0.9", id="float-sum"),
+    pytest.param(lambda: iid_matrix_expectation(IIDModel.binary(0.5), 3, mode="fast"),
+                 "mode must be auto, exact or float, got 'fast'", id="mode"),
+    pytest.param(lambda: iid_matrix_expectation(IIDModel.binary(0.5), 3, mode="exact"),
+                 "exact mode needs rational (Fraction) probabilities", id="exact-on-float"),
+    pytest.param(lambda: markov_expectation(MarkovModel(0.5, 0.5), 0), "n must be at least 1",
+                 id="length"),
+]
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

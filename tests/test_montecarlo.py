@@ -7,6 +7,7 @@ deterministic; tolerances were chosen with 4-standard-error headroom.
 
 import concurrent.futures
 import math
+import re
 import os
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +23,6 @@ from subseqlab import (
     MarkovModel,
     closed_form_binary,
     estimate_expected_count,
-    estimate_growth_constant,
     fit_growth_rate,
     iid_matrix_expectation,
     sample_string,
@@ -379,32 +379,24 @@ def test_fit_on_exact_series_hits_asymptotic_base():
         assert fit.r_squared > 0.9999
 
 
+def sampled_fit(model, ns, trials, seed):
+    """The fit ``simulate --fit-growth`` prints: one substream per length."""
+    records = [
+        estimate_expected_count(model, n, trials, seed, stream=idx) for idx, n in enumerate(ns)
+    ]
+    return fit_growth_rate(ns, [r.log_mean() for r in records])
+
+
 def test_degenerate_model_clamps_to_no_growth():
     """A one-letter alphabet grows linearly, not exponentially."""
-    fit = estimate_growth_constant(IIDModel.binary(1.0), range(10, 41, 5), 50, seed=3)
+    fit = sampled_fit(IIDModel.binary(1.0), range(10, 41, 5), 50, seed=3)
     assert fit.clamped
     assert fit.c == 1.0
 
 
-def test_estimate_growth_constant_monte_carlo():
-    fit = estimate_growth_constant(
-        IIDModel.binary(0.5), range(10, 41, 5), 4000, seed=99
-    )
+def test_growth_fit_of_sampled_means():
+    fit = sampled_fit(IIDModel.binary(0.5), range(10, 41, 5), 4000, seed=99)
     assert abs(fit.c - 1.5) / 1.5 < 0.02
-    assert len(fit.records) == 7
-    assert [r.n for r in fit.records] == list(range(10, 41, 5))
-
-
-def test_growth_fit_rejects_short_lengths_before_sampling(monkeypatch):
-    """ln of the zero mean at n = 0 has no value: refuse the grid up front."""
-    from subseqlab import montecarlo
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before validating the grid")
-
-    monkeypatch.setattr(montecarlo, "estimate_expected_count", no_sampling)
-    with pytest.raises(ValueError, match=r"at least 1; got \[0\]"):
-        estimate_growth_constant(IIDModel.binary(0.5), range(0, 5), 3, seed=1)
 
 
 def test_superpattern_greedy_known_values():
@@ -427,3 +419,19 @@ def test_superpattern_ratio_approaches_one_third():
     """Long fair-coin strings cover all patterns of length about n/3."""
     record = superpattern_experiment(IIDModel.binary(0.5), 1000, 400, seed=5)
     assert abs(record.mean_ratio - 1 / 3) < 0.01
+
+
+# Inputs each check of this layer refuses, with the message it raises.
+REJECTED = [
+    pytest.param(lambda: estimate_expected_count(IIDModel.binary(0.5), -1, 2, seed=0),
+                 "n must be nonnegative", id="run-n"),
+    pytest.param(lambda: sample_string(IIDModel.binary(0.5), -1, trial_rng(0, 0)),
+                 "n must be nonnegative", id="string-n"),
+    pytest.param(lambda: fit_growth_rate([1, 2, 3], [0.0, 1.0]),
+                 "grid and log values differ in length", id="fit-lengths"),
+]
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

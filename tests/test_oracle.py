@@ -2,6 +2,7 @@
 exhaustive expectations, submultiplicativity, and cover-length search."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,3 +266,21 @@ def test_greedy_cover_matches_bruteforce(s):
 def test_cover_length_monotone_under_append(s, letter):
     """Appending a letter can only extend what the string covers."""
     assert superpattern_k(extended(s, letter)) >= superpattern_k(s)
+
+
+# Inputs each check of this layer refuses, with the message it raises.
+REJECTED = [
+    pytest.param(lambda: tree_row(0, 2), "alphabet size must be at least 1", id="row-d"),
+    pytest.param(lambda: tree_row(2, -1), "row index must be nonnegative", id="row-n"),
+    pytest.param(lambda: exhaustive_expectation(IIDModel.binary(Fraction(1, 2)), -1),
+                 "n must be nonnegative", id="exhaustive-n"),
+    pytest.param(lambda: check_pair_structure(1), "pair structure checks need n >= 2",
+                 id="pair-n"),
+    pytest.param(lambda: check_submultiplicativity(IIDModel.binary(Fraction(1, 2)), 0, 2),
+                 "both lengths must be at least 1", id="split-lengths"),
+]
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

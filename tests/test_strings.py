@@ -1,5 +1,6 @@
 """Tests for the core string types and the distinct-subsequence counter."""
 
+import re
 import tracemalloc
 from itertools import accumulate
 
@@ -183,3 +184,17 @@ def test_counter_rejects_foreign_letters():
     counter = IncrementalCounter(BINARY)
     with pytest.raises(ValueError):
         counter.push(2)
+
+
+# Inputs each check of this layer refuses, with the message it raises.
+REJECTED = [
+    pytest.param(lambda: LetterString.from_text("1,x"), "cannot parse letters from '1,x'",
+                 id="comma-form"),
+    pytest.param(lambda: LetterString.from_text("1,-2"), "negative letter in '1,-2'",
+                 id="negative-letter"),
+]
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
