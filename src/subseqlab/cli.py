@@ -187,7 +187,7 @@ def cmd_expect(args) -> int:
     kind = MarkovModel if markov else IIDModel
     model = _parse_model(args, args.exact, kind, f"the {args.engine} engine")
     engine = markov_expectation if markov else iid_matrix_expectation
-    series = engine(model, args.n, mode="exact" if args.exact else "float")
+    series = engine(model, args.n)  # --exact parsed Fractions, so the model picks the mode
     doc = {
         "engine": args.engine,
         "model": model.describe(),
@@ -410,12 +410,7 @@ def cmd_solve(args) -> int:
         }
     elif args.threshold:
         root = occurrence_threshold()
-        doc = {
-            "equation": "H2(x) = x",
-            "x": root.x,
-            "residual": root.residual,
-            "iterations": root.iterations,
-        }
+        doc = {"equation": "H2(x) = x", **asdict(root)}
     else:
         kv = _parse_kv(args.occurrences, ("n", "pattern", "alpha", "log"))
         missing = {"n", "pattern", "alpha"} - set(kv)

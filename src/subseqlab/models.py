@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = ["IIDModel", "MarkovModel", "parse_probability"]
+
 FLOAT_SUM_TOL = 1e-12
 
 
@@ -127,10 +129,8 @@ class MarkovModel:
 
     @property
     def gamma(self):
-        """Stationary probability that a letter is 1."""
-        if self.is_exact:
-            return Fraction(self.beta) / (1 + Fraction(self.beta) - Fraction(self.alpha))
-        return float(self.beta) / (1 + float(self.beta) - float(self.alpha))
+        """Stationary probability that a letter is 1; a float if either probability is."""
+        return Fraction(self.beta) / (1 + self.beta - self.alpha)
 
     def as_floats(self) -> "MarkovModel":
         return MarkovModel(float(self.alpha), float(self.beta))

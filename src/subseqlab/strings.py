@@ -86,17 +86,15 @@ class LetterString:
 
         The empty string parses to the empty LetterString. Digit form covers
         alphabets up to size 10; the comma form covers any size. Without an
-        explicit alphabet the size is inferred as the largest letter plus one.
+        explicit alphabet, :meth:`from_letters` infers it.
         """
         text = text.strip()
-        if not text:
-            return cls(alphabet if alphabet is not None else Alphabet(1), ())
         if "," in text:
             try:
                 seq = tuple(int(tok.strip()) for tok in text.split(","))
             except ValueError:
                 raise ValueError(f"cannot parse letters from {text!r}") from None
-        elif text.isascii() and text.isdigit():
+        elif set(text) <= set("0123456789"):  # digits, or the empty string
             seq = tuple(int(ch) for ch in text)
         else:
             raise ValueError(
@@ -104,9 +102,7 @@ class LetterString:
             )
         if any(x < 0 for x in seq):
             raise ValueError(f"negative letter in {text!r}")
-        if alphabet is None:
-            alphabet = Alphabet(max(seq) + 1)
-        return cls(alphabet, seq)
+        return cls.from_letters(seq, alphabet)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -8,11 +8,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from subseqlab import MarkovModel, cli, exhaustive_expectation
+from subseqlab import MarkovModel, RootResult, cli, exhaustive_expectation
 from subseqlab.cli import ENV_SEED, main
 from subseqlab.output import dump_json, render_csv
 
@@ -383,6 +384,8 @@ def test_solve_threshold(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["x"] - 0.7729078047806577) < 1e-10
+    assert list(payload) == ["equation", *(f.name for f in fields(RootResult))]
+    assert payload["bracket"][0] <= payload["x"] <= payload["bracket"][1]
 
 
 def test_solve_occurrences(capsys):
@@ -532,7 +535,8 @@ LAYOUTS = [
     (
         ("solve", "--threshold"),
         '{\n  "equation": "H2(x) = x",\n  "x": 0.77290780478065768,\n'
-        '  "residual": -1.6209256159527285e-14,\n  "iterations": 43\n}\n',
+        '  "residual": -1.6209256159527285e-14,\n'
+        '  "bracket": [0.77290780478062926, 0.7729078047806861],\n  "iterations": 43\n}\n',
     ),
     (
         # alpha = 1 samples only 1s, so every count is n and the row is fixed

@@ -234,6 +234,26 @@ def test_markov_model_rejects_undefined_start():
         MarkovModel(Fraction(1), Fraction(0))
 
 
+# (alpha, beta) -> gamma: exact and integer-boundary chains keep a Fraction,
+# and one float probability makes gamma a float.
+GAMMAS = [
+    pytest.param(Fraction(3, 10), Fraction(7, 10), Fraction(1, 2), id="exact"),
+    pytest.param(0, 0, Fraction(0), id="0,0"),
+    pytest.param(0, 1, Fraction(1, 2), id="0,1"),
+    pytest.param(1, Fraction(1, 2), Fraction(1), id="1,1/2"),
+    pytest.param(0.3, 0.7, 0.7 / (1 + 0.7 - 0.3), id="float"),
+    pytest.param(Fraction(1, 2), 0.25, 0.25 / 0.75, id="mixed-beta-float"),
+    pytest.param(0.5, Fraction(1, 4), 0.25 / 0.75, id="mixed-alpha-float"),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,want", GAMMAS)
+def test_gamma_value_and_type(alpha, beta, want):
+    gamma = MarkovModel(alpha, beta).gamma
+    assert type(gamma) is type(want)
+    assert gamma == want
+
+
 def test_series_accessors():
     series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 3)
     assert series.value_at(1) == Fraction(1)

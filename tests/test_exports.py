@@ -1,10 +1,12 @@
-"""Every exported name exists, and the package exports what it imports.
+"""Each library module's ``__all__`` is its public API, stated once.
 
-A guard against a half-removed export: each module under ``src/subseqlab``
-is parsed with ``ast`` and never run. A name in a module's ``__all__`` must
-be bound at the module's top level (by a def, a class, an assignment or an
-import), and the package ``__init__``'s ``__all__`` must list exactly the
-names it imports.
+A guard against a half-removed or doubled export. Each module under
+``src/subseqlab`` is parsed with ``ast`` and never run: a name in its
+``__all__`` must be bound at its top level (by a def, a class, an
+assignment or an import) and listed once. The package ``__init__``
+computes its ``__all__`` from six modules' lists, so it is checked once
+imported: it re-exports exactly those lists, in order, with no name from
+two modules, and leaves ``output`` and ``cli`` out.
 """
 
 import ast
@@ -12,8 +14,13 @@ from pathlib import Path
 
 import pytest
 
+import subseqlab
+from subseqlab import output
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "subseqlab"
-MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The modules whose ``__all__`` the package re-exports, in the package's order.
+REEXPORTED = ("strings", "models", "expectation", "oracle", "montecarlo", "analysis")
 
 
 def exported(tree) -> list[str]:
@@ -26,20 +33,9 @@ def exported(tree) -> list[str]:
     return []
 
 
-def imported(tree) -> set[str]:
-    """Names bound by the module's top-level imports, ``__future__`` aside."""
-    return {
-        alias.asname or alias.name.split(".")[0]
-        for node in tree.body
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
-
-
-def bound(tree) -> set[str]:
-    """Every name the module binds at its top level."""
-    names = imported(tree)
+def defined(tree) -> set[str]:
+    """Names the module's own top-level defs, classes and assignments bind."""
+    names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
@@ -49,12 +45,32 @@ def bound(tree) -> set[str]:
     return names
 
 
+def bound(tree) -> set[str]:
+    """Every name the module binds at its top level, ``__future__`` aside."""
+    return defined(tree) | {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+
+
+def reexported() -> list[str]:
+    """The six modules' ``__all__`` lists, concatenated in package order."""
+    return [name for module in REEXPORTED for name in getattr(subseqlab, module).__all__]
+
+
+def twice(names: list[str]) -> list[str]:
+    """Names listed more than once."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def unbound_exports(source: str) -> list[str]:
     """Names in ``__all__`` that the module never binds, or lists twice."""
     tree = ast.parse(source)
     names = exported(tree)
-    twice = sorted({name for name in names if names.count(name) > 1})
-    return sorted(set(names) - bound(tree)) + twice
+    return sorted(set(names) - bound(tree)) + twice(names)
 
 
 def test_the_check_finds_a_stale_export():
@@ -65,8 +81,15 @@ def test_the_check_finds_a_stale_export():
     assert unbound_exports(source) == ["gone", "f"]
 
 
+def test_the_check_finds_a_name_two_modules_export():
+    first = ast.parse('__all__ = ["f", "g"]\ndef f(): pass\ndef g(): pass\n')
+    second = ast.parse('__all__ = ["g", "h"]\nfrom .first import g\ndef h(): pass\n')
+    assert twice(exported(first)) == twice(exported(second)) == []
+    assert twice([*exported(first), *exported(second)]) == ["g"]
+
+
 def test_modules_were_found():
-    assert len(MODULES) >= 9
+    assert len(MODULES) >= 8
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -76,6 +99,25 @@ def test_every_export_is_bound(path):
 
 def test_the_package_exports_what_it_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    names = exported(tree)
-    assert len(names) == len(set(names))
-    assert set(names) == imported(tree)
+    starred = [
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+    assert sorted(starred) == sorted(REEXPORTED)
+    assert subseqlab.__all__ == reexported()
+
+
+def test_no_name_is_exported_twice():
+    assert twice(reexported()) == []
+
+
+def test_every_export_is_a_package_attribute():
+    assert [name for name in subseqlab.__all__ if not hasattr(subseqlab, name)] == []
+
+
+def test_output_and_cli_names_stay_out_of_the_package():
+    cli_defs = defined(ast.parse((PACKAGE / "cli.py").read_text()))
+    public = [*output.__all__, *sorted(n for n in cli_defs if not n.startswith("_"))]
+    assert {"dump_json", "main"} <= set(public)
+    assert [n for n in public if n in subseqlab.__all__ or hasattr(subseqlab, n)] == []

@@ -64,6 +64,16 @@ def test_from_text_explicit_alphabet():
 
 def test_from_text_empty():
     assert LetterString.from_text("").letters == ()
+    assert LetterString.from_text("").alphabet == Alphabet(1)
+
+
+@pytest.mark.parametrize(
+    "text,letters",
+    [("0", [0]), ("0120", [0, 1, 2, 0]), ("111", [1, 1, 1]), ("10,3,7", [10, 3, 7]),
+     ("0,0", [0, 0])],
+)
+def test_from_text_infers_the_alphabet_like_from_letters(text, letters):
+    assert LetterString.from_text(text) == LetterString.from_letters(letters)
 
 
 def test_count_distinct_known_values():
