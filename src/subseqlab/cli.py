@@ -43,7 +43,8 @@ from .strings import BINARY, Alphabet, LetterString, count_distinct, new_subseq_
 
 ENV_SEED = "SUBSEQLAB_SEED"
 ROW_SLICE = 4096  # tree-row entries joined per write, so the row's text is never built whole
-_MODEL_FLAGS = {IIDModel: "--alpha or --probs", MarkovModel: "--markov alpha,beta"}
+_TAKES = {"closed": ("alpha",), "matrix": ("alpha", "probs"), "markov": ("markov",),
+          "iid": ("alpha", "probs")}  # the model flags each --engine or --model value takes
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -77,7 +78,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(text: str) -> range:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise CliError(f"grid must be start:stop[:step], got {text!r}")
@@ -88,19 +89,20 @@ def _parse_grid(text: str) -> list[int]:
         raise CliError(f"grid must be integers, got {text!r}") from None
     if step < 1 or start < 0 or stop < start:
         raise CliError(f"grid needs 0 <= start <= stop and step >= 1, got {text!r}")
-    return list(range(start, stop + 1, step))
+    return range(start, stop + 1, step)
 
 
-def _parse_model(args, exact: bool, kind=None, label: str = ""):
-    """The model named by --alpha, --probs or --markov; with ``kind`` set,
-    a model of another kind is rejected as ``"{label} takes {flags}"``."""
+def _parse_model(args, exact: bool, takes=("alpha", "probs", "markov"), label: str = ""):
+    """The model named by --alpha, --probs or --markov, of which argparse
+    lets through exactly one. A flag outside ``takes`` is rejected as
+    ``"{label} takes {flags}"`` before any value is parsed."""
+    if all(getattr(args, flag) is None for flag in takes):
+        raise CliError(f"{label} takes {' or '.join(f'--{flag}' for flag in takes)}")
     if args.alpha is not None:
         model = IIDModel.binary(parse_probability(args.alpha, exact))
     elif args.probs is not None:
         probs = tuple(parse_probability(tok, exact) for tok in args.probs.split(","))
         model = IIDModel(probs)
-    elif args.markov is None:  # argparse rejects two; only superpattern allows none
-        raise CliError("give exactly one of --alpha, --probs, --markov")
     else:
         toks = args.markov.split(",")
         if len(toks) != 2:
@@ -108,8 +110,6 @@ def _parse_model(args, exact: bool, kind=None, label: str = ""):
         model = MarkovModel(
             parse_probability(toks[0], exact), parse_probability(toks[1], exact)
         )
-    if kind is not None and not isinstance(model, kind):
-        raise CliError(f"{label} takes {_MODEL_FLAGS[kind]}")
     return model
 
 
@@ -131,8 +131,6 @@ def _emit(out: str, doc, columns=(), rows=()) -> None:
 
 
 def cmd_count(args) -> int:
-    if args.file is not None and args.strings:
-        raise CliError("pass strings either inline or with --file, not both")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -143,10 +141,8 @@ def cmd_count(args) -> int:
                 ]
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from None
-    elif args.strings:
-        raw = list(enumerate(args.strings, start=1))
     else:
-        raise CliError("no input: pass strings as arguments or with --file")
+        raw = list(enumerate(args.strings, start=1))
     alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
     rows = []
     for lineno, text in raw:
@@ -175,18 +171,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    if args.engine == "closed":
-        if args.alpha is None:
-            raise CliError("the closed engine takes --alpha only")
-        if args.exact:
-            raise CliError(
-                "the closed form is floating point; use --engine matrix with --exact"
-            )
+    if args.engine == "closed" and args.exact:
+        raise CliError("the closed form is floating point; use --engine matrix with --exact")
     # the closed form is the binary IID case of the matrix engine
-    markov = args.engine == "markov"
-    kind = MarkovModel if markov else IIDModel
-    model = _parse_model(args, args.exact, kind, f"the {args.engine} engine")
-    engine = markov_expectation if markov else iid_matrix_expectation
+    model = _parse_model(args, args.exact, _TAKES[args.engine], f"the {args.engine} engine")
+    engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
     series = engine(model, args.n)  # --exact parsed Fractions, so the model picks the mode
     doc = {
         "engine": args.engine,
@@ -209,18 +198,17 @@ def cmd_expect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kind = IIDModel if args.model == "iid" else MarkovModel
-    model = _parse_model(args, False, kind, f"--model {args.model}")
+    model = _parse_model(args, False, _TAKES[args.model], f"--model {args.model}")
     seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
     if args.fit_growth:  # checked before sampling; grid lengths are sorted, distinct, >= 0
         if args.out != "json":
             raise CliError("--fit-growth reports through JSON; add --out json")
-        if len(ns) < 3:
+        if len(ns[:3]) < 3:  # a range's len() overflows past sys.maxsize
             raise CliError("growth fit needs at least 3 distinct grid lengths")
         if ns[0] < 1:
             raise CliError(
-                f"growth fit takes ln of the mean count, so lengths must be at least 1; got {ns[:1]}"
+                f"growth fit takes ln of the mean count, so lengths must be at least 1; got {[ns[0]]}"
             )
     records = [
         estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
@@ -357,13 +345,15 @@ def cmd_tree_row(args) -> int:
 
 
 def cmd_superpattern(args) -> int:
+    # argparse lets through a string or a model, never both; each rejects the other's flags
     if args.string is not None:
-        if any(getattr(args, flag) is not None for flag in ("alpha", "probs", "markov")):
-            raise CliError("pass either a string or a model, not both")
-        experiment = ("n", "trials", "seed", "workers")
-        given = [f"--{flag}" for flag in experiment if getattr(args, flag) is not None]
-        if given:
-            raise CliError(f"{', '.join(given)} only apply with a model, not with a string")
+        foreign, where = ("n", "trials", "seed", "workers"), "with a model, not with a string"
+    else:
+        foreign, where = ("alphabet",), "with a string, not with a model"
+    given = [f"--{flag}" for flag in foreign if getattr(args, flag) is not None]
+    if given:
+        raise CliError(f"{', '.join(given)} only apply {where}")
+    if args.string is not None:
         alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
         s = LetterString.from_text(args.string, alphabet)
         doc = {"input": args.string, "d": s.alphabet.size, "n": len(s), "k": superpattern_k(s)}
@@ -441,11 +431,12 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_model_flags(sub, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_model_flags(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", help="binary IID model: probability of letter 1")
     group.add_argument("--probs", help="IID letter probabilities p0,p1,...")
     group.add_argument("--markov", help="two-state chain: alpha,beta")
+    return group
 
 
 def _add_out_flag(sub) -> None:
@@ -457,8 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_count = sub.add_parser("count", help="count distinct subsequences of given strings")
-    p_count.add_argument("strings", nargs="*", help="digit strings or comma-separated letters")
-    p_count.add_argument("--file", help="read one string per line from a file")
+    # default [] keeps an empty strings list from counting as given
+    source = p_count.add_mutually_exclusive_group(required=True)
+    source.add_argument("strings", nargs="*", default=[], help="digit strings or comma-separated letters")
+    source.add_argument("--file", help="read one string per line from a file")
     p_count.add_argument("--alphabet", type=int, help="alphabet size (default: inferred)")
     p_count.add_argument("--with-empty", action="store_true", help="also report the empty-inclusive count")
     p_count.add_argument("--profile", action="store_true", help="include the per-letter new counts")
@@ -496,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_row.set_defaults(func=cmd_tree_row)
 
     p_super = sub.add_parser("superpattern", help="largest k with all length-k patterns embedded")
-    p_super.add_argument("string", nargs="?", help="string to analyse")
     p_super.add_argument("--alphabet", type=int, help="alphabet size (default: inferred)")
-    _add_model_flags(p_super, required=False)
+    _add_model_flags(p_super).add_argument("string", nargs="?", help="string to analyse")
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
     # None marks a flag not given, which string mode rejects
     p_super.add_argument("--trials", type=int, help="sampled strings (default: 1000)")

@@ -125,7 +125,10 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
         raise ValueError("alphabet size must be at least 1")
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    values = [] if n else [0]
+    if n == 0:
+        return (0,)
+    _guard_power(max(d, 2), n)  # before the d-entry weight table is built
+    values = []
 
     def keep(depth: int, nu: int, _w: int) -> None:
         if depth == n:

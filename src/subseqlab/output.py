@@ -4,8 +4,10 @@ One scalar format serves both layouts: floats with 17 significant digits
 (round-trip exact), exact rationals as "p/q" (a JSON string), booleans as
 true/false. A non-finite float has no CSV or JSON form and raises
 ValueError, which the CLI reports as invalid input. CSV follows RFC 4180
-with a mandatory header row. JSON objects keep insertion order, so a fixed
-input yields byte-identical output.
+with a mandatory header row. One recursive writer lays out JSON: children
+one per line, two spaces deeper than their brackets, except that a list of
+scalars stays on one line. Objects keep insertion order, so a fixed input
+yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -44,39 +46,23 @@ def _atom(v) -> str:
 
 def dump_json(value) -> str:
     """Serialize dicts/lists/scalars with a deterministic layout."""
-    out = io.StringIO()
+    return _json_text(value, "") + "\n"
 
-    def emit(v, depth: int) -> None:
-        pad = "  " * depth
-        if isinstance(v, dict):
-            if not v:
-                out.write("{}")
-                return
-            out.write("{\n")
-            items = list(v.items())
-            for i, (key, item) in enumerate(items):
-                out.write(pad + "  " + _json.dumps(str(key)) + ": ")
-                emit(item, depth + 1)
-                out.write(",\n" if i < len(items) - 1 else "\n")
-            out.write(pad + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                out.write("[]")
-                return
-            if all(not isinstance(x, (dict, list, tuple)) for x in v):
-                out.write("[" + ", ".join(_atom(x) for x in v) + "]")
-                return
-            out.write("[\n")
-            for i, x in enumerate(v):
-                out.write(pad + "  ")
-                emit(x, depth + 1)
-                out.write(",\n" if i < len(v) - 1 else "\n")
-            out.write(pad + "]")
-        else:
-            out.write(_atom(v))
 
-    emit(value, 0)
-    return out.getvalue() + "\n"
+def _json_text(v, pad: str) -> str:
+    """``v`` as JSON text whose closing bracket is indented by ``pad``."""
+    inner = pad + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = (f"{inner}{_json.dumps(str(k))}: {_json_text(x, inner)}" for k, x in v.items())
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(v, (list, tuple)):
+        if not any(isinstance(x, (dict, list, tuple)) for x in v):  # the empty list too
+            return "[" + ", ".join(map(_atom, v)) + "]"
+        items = (inner + _json_text(x, inner) for x in v)
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return _atom(v)
 
 
 def render_csv(columns, rows) -> str:

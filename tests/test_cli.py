@@ -12,6 +12,8 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseqlab import MarkovModel, RootResult, cli, exhaustive_expectation
 from subseqlab.cli import ENV_SEED, main
@@ -192,12 +194,14 @@ def test_tree_row_streams_the_joined_row(capsys, d, n):
 
 
 def test_tree_row_size_guard_exit_code(capsys):
-    # A one-letter row is a single string, but its walk is 5000 deep.
-    for d, n in (("2", "30"), ("1", "5000")):
+    # A one-letter row is a single string, but its walk is 5000 deep; a
+    # huge alphabet must meet the guard before any per-letter table.
+    for d, n in (("2", "30"), ("1", "5000"), ("99999999999", "2")):
         code, _, err = run_cli(capsys, "tree-row", "--d", d, "--n", n)
         assert code == 2
         assert "size guard" in err
         assert "Traceback" not in err
+    assert run_cli(capsys, "tree-row", "--d", "99999999999", "--n", "0") == (0, "0\n", "")
 
 
 def test_simulate_single_length(capsys):
@@ -266,8 +270,12 @@ def test_simulate_fit_rejects_length_zero(capsys):
         (("--grid", "0:4"), "growth fit takes ln of the mean count, so lengths must be at least 1; "
                             "got [0]"),
         (("--n", "5"), "growth fit needs at least 3 distinct grid lengths"),
+        (("--grid", "0:1000000000000", "--trials", "2"),
+         "growth fit takes ln of the mean count, so lengths must be at least 1; got [0]"),
+        (("--grid", f"0:{10**30}", "--trials", "2"),  # longer than sys.maxsize
+         "growth fit takes ln of the mean count, so lengths must be at least 1; got [0]"),
     ],
-    ids=["length-zero", "one-length"],
+    ids=["length-zero", "one-length", "huge-grid", "grid-past-maxsize"],
 )
 def test_simulate_fit_checks_the_grid_before_sampling(capsys, monkeypatch, lengths, message):
     def no_sampling(*args, **kwargs):
@@ -330,7 +338,7 @@ def test_superpattern_string_mode(capsys):
 def test_superpattern_string_rejects_an_empty_model_flag(capsys, flag):
     code, out, err = run_cli(capsys, "superpattern", "0101", flag, "")
     assert (code, out) == (1, "")
-    assert "pass either a string or a model, not both" in err
+    assert f"error: argument {flag}: not allowed with argument string" in err
 
 
 @pytest.mark.parametrize(
@@ -546,13 +554,28 @@ LAYOUTS = [
         '      "mean": 5,\n      "stderr": 0,\n      "trials": 2,\n      "seed": 3,\n'
         '      "log_space": false\n    }\n  ]\n}\n',
     ),
+    (
+        # alpha = 1 again: no sampled string holds a 0, so every k is 0
+        ("superpattern", "--alpha", "1", "--n", "50", "--trials", "40", "--seed", "0",
+         "--out", "json"),
+        '{\n  "model": "iid(0.0,1.0)",\n  "n": 50,\n  "trials": 40,\n  "seed": 0,\n'
+        '  "mean_k": 0,\n  "mean_ratio": 0,\n  "histogram": {\n    "0": 40\n  }\n}\n',
+    ),
+    (
+        ("solve", "--balance", "1.0"),
+        '{\n  "equation": "2^x * x^x * (1-x)^(1-x) = target",\n  "target": 1,\n'
+        '  "lower": null,\n  "upper": {\n    "x": 0.77290780478062904,\n'
+        '    "residual": -4.3631764867768652e-14,\n'
+        '    "bracket": [0.77290780478059107, 0.7729078047806669],\n'
+        '    "iterations": 43\n  }\n}\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,expected", LAYOUTS,
     ids=["count-json", "expect-json", "superpattern-csv", "superpattern-json", "solve",
-         "simulate-json"],
+         "simulate-json", "superpattern-experiment-json", "solve-balance"],
 )
 def test_output_layouts(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
@@ -649,10 +672,16 @@ def test_conflicting_flags_are_rejected(capsys, argv, flags):
 REJECTED = [
     (("simulate", "--model", "iid", "--alpha", "0.5", "--n", "8", "--workers", "x"),
      "argument --workers: expected an integer, got 'x'"),
-    (("superpattern", "--n", "5"), "give exactly one of --alpha, --probs, --markov"),
+    (("superpattern", "--n", "5"),
+     "one of the arguments --alpha --probs --markov string is required"),
     (("simulate", "--model", "markov", "--markov", "0.5", "--n", "8"),
      "--markov takes two probabilities: alpha,beta"),
-    (("count",), "no input: pass strings as arguments or with --file"),
+    (("count",), "one of the arguments strings --file is required"),
+    (("count", "01", "--file", "F"), "argument --file: not allowed with argument strings"),
+    (("superpattern", "--alpha", "0.5", "--n", "5", "--alphabet", "3"),
+     "--alphabet only apply with a string, not with a model"),
+    (("expect", "--engine", "markov", "--alpha", "2", "--n", "3"),
+     "the markov engine takes --markov"),
     (("verify", "--max-n", "1"), "--max-n must be at least 2"),
     (("solve", "--occurrences", "n5", "pattern=01", "alpha=0.5"), "expected key=value, got 'n5'"),
     (("solve", "--occurrences", "n=5", "pattern=01"), "--occurrences needs alpha"),
@@ -663,7 +692,8 @@ REJECTED = [
 
 @pytest.mark.parametrize(
     "argv,message", REJECTED,
-    ids=["workers", "no-model", "markov-pair", "count-no-input", "max-n", "kv-token",
+    ids=["workers", "no-model", "markov-pair", "count-no-input", "count-file-and-inline",
+         "superpattern-model-alphabet", "engine-flag-before-value", "max-n", "kv-token",
          "kv-missing", "kv-n"],
 )
 def test_cli_rejects_bad_input(capsys, argv, message):
@@ -686,3 +716,33 @@ def test_dump_json_atoms():
     )
     with pytest.raises(TypeError):
         dump_json({1, 2})
+
+
+def _as_read_back(v):
+    """What JSON reads back for ``v``: tuples as lists, Fractions as "p/q",
+    keys as str."""
+    if isinstance(v, dict):
+        return {str(k): _as_read_back(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_as_read_back(x) for x in v]
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return v
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.fractions() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text() | st.integers(), kids)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(json_docs)
+def test_dump_json_round_trips(doc):
+    assert json.loads(dump_json(doc)) == _as_read_back(doc)
