@@ -4,9 +4,10 @@ Subcommands: count, expect, simulate, verify, tree-row, superpattern,
 solve. count, expect, simulate and superpattern print CSV with a header,
 or JSON with --out json; solve prints JSON; verify and tree-row print
 plain text. Only the samplers (simulate, and superpattern with a model)
-load numpy. Exit codes: 0 success, 1 invalid input or failed
-verification, 2 exhaustive size-guard violation. The default master
-seed comes from the SUBSEQLAB_SEED environment variable (0 when unset).
+load numpy. Exit codes: 0 success, 1 invalid input, failed verification
+or a stdout reader that closed early (the output stops, with nothing on
+stderr), 2 exhaustive size-guard violation. The default master seed comes
+from the SUBSEQLAB_SEED environment variable (0 when unset).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .oracle import enumerate_distinct  # noqa: F401  (perfbench/traced.py wraps
 from .oracle import (
     SizeGuardError,
     _extend_distinct,
+    _row_runs,
     check_pair_structure,
     check_submultiplicativity,
     exhaustive_expectation,
@@ -42,9 +44,13 @@ from .output import dump_json, render_csv
 from .strings import BINARY, Alphabet, LetterString, count_distinct, new_subseq_counts
 
 ENV_SEED = "SUBSEQLAB_SEED"
-ROW_SLICE = 4096  # tree-row entries joined per write, so the row's text is never built whole
 _TAKES = {"closed": ("alpha",), "matrix": ("alpha", "probs"), "markov": ("markov",),
           "iid": ("alpha", "probs")}  # the model flags each --engine or --model value takes
+_SUPER_USAGE = """%(prog)s [-h] [--alphabet ALPHABET]
+                              (--alpha ALPHA | --probs PROBS |
+                               --markov MARKOV | string)
+                              [--n N] [--trials TRIALS] [--seed SEED]
+                              [--workers WORKERS] [--out {csv,json}]"""
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -228,18 +234,19 @@ def cmd_simulate(args) -> int:
 def _verify_counting(max_n: int):
     """Every short string's count against its brute-force subsequence set,
     walking the prefix tree depth-first so that each set extends its
-    parent's by one letter."""
+    parent's by one letter. The sets hold the oracle's integer codes, with
+    0 for the empty subsequence, so a string's count is ``len(codes) - 1``."""
     binary_limit = min(max_n, 12)
     ternary_limit = max(2, min(8, max_n - 4))
     checked = 0
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
         alphabet = Alphabet(d)
-        stack = [((), set())]
+        stack = [((), {0})]
         while stack:
-            prefix, subs = stack.pop()
+            prefix, codes = stack.pop()
             for c in range(d):
-                letters, grown = prefix + (c,), _extend_distinct(subs, c)
-                if count_distinct(LetterString(alphabet, letters)) != len(grown):
+                letters, grown = prefix + (c,), _extend_distinct(codes, c, d)
+                if count_distinct(LetterString(alphabet, letters)) != len(grown) - 1:
                     return False, f"mismatch at {letters}"
                 checked += 1
                 if len(letters) < limit:
@@ -334,9 +341,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tree_row(args) -> int:
-    row = tree_row(args.d, args.n)
-    for lo in range(0, len(row), ROW_SLICE):
-        sys.stdout.write(("," if lo else "") + ",".join(map(str, row[lo : lo + ROW_SLICE])))
+    sep = ""
+
+    def write(run) -> None:  # each run as it arrives, so the row is never held
+        nonlocal sep
+        sys.stdout.write(sep + ",".join(map(str, run)))
+        sep = ","
+
+    _row_runs(args.d, args.n, write)
     sys.stdout.write("\n")
     return 0
 
@@ -488,7 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_row.add_argument("--n", type=int, required=True, help="row index")
     p_row.set_defaults(func=cmd_tree_row)
 
-    p_super = sub.add_parser("superpattern", help="largest k with all length-k patterns embedded")
+    # argparse prints a group as one choice only when every member is an
+    # option, so the usage line holding the string positional is written out
+    p_super = sub.add_parser(
+        "superpattern", help="largest k with all length-k patterns embedded", usage=_SUPER_USAGE
+    )
     p_super.add_argument("--alphabet", type=int, help="alphabet size (default: inferred)")
     _add_model_flags(p_super).add_argument("string", nargs="?", help="string to analyse")
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
@@ -518,7 +534,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the flush
+        # at interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,12 @@
 """Brute-force ground truth for the fast counters and expectation engines.
 
 Everything here trades time for transparency: subsequence sets are built
-explicitly, expectations sum over every possible string in exact
-arithmetic, and structural identities are checked row by row. One
+explicitly (as integer codes), expectations sum over every possible string
+in exact arithmetic, and structural identities are checked row by row. One
 depth-first walk over the prefix tree, with integer path weights, serves
-both the tree rows (plain tuples of new counts) and the exhaustive
-expectations. Size guards keep the exponential enumerations inside a sane
-budget and raise :class:`SizeGuardError` beyond it.
+both the tree rows (handed out in runs, or joined into a plain tuple) and
+the exhaustive expectations. Size guards keep the exponential enumerations
+inside a sane budget and raise :class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
 
 ENUMERATION_MAX = 22
 EXHAUSTIVE_GUARD = 2**20
+ROW_SLICE = 4096  # tree-row entries per run, so a streamed row is never held whole
 
 
 class SizeGuardError(RuntimeError):
@@ -50,29 +51,44 @@ def _guard_power(d: int, n: int) -> None:
 def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
     """All distinct nonempty subsequences of ``s``, as tuples of letters.
 
-    Built letter by letter: each letter extends every subsequence seen so
-    far and starts its own singleton. Guarded to length 22 since the result
-    can hold up to ``2**n - 1`` elements.
+    Built letter by letter over integer codes (see :func:`_extend_distinct`):
+    each letter extends every subsequence seen so far, the empty one
+    included, which starts its singleton. The codes are decoded to tuples
+    at the end. Guarded to length 22 since the result can hold up to
+    ``2**n - 1`` elements.
     """
     if len(s) > ENUMERATION_MAX:
         raise SizeGuardError(
             f"refusing to enumerate subsequences of a length-{len(s)} string "
             f"(max {ENUMERATION_MAX})"
         )
-    subs: set[tuple[int, ...]] = set()
+    d = s.alphabet.size
+    codes = {0}
     for letter in s:
-        subs = _extend_distinct(subs, letter)
+        codes = _extend_distinct(codes, letter, d)
+    base = d + 1
+    subs = set()
+    for code in codes - {0}:
+        letters = []
+        while code:
+            code, digit = divmod(code, base)
+            letters.append(digit - 1)
+        subs.add(tuple(reversed(letters)))
     return subs
 
 
-def _extend_distinct(subs: set, letter: int) -> set:
-    """The subsequence set of a string with ``letter`` appended, from the
-    string's own set ``subs`` (left as it is)."""
-    tail = (letter,)
-    grown = set(subs)
-    grown.update([prev + tail for prev in subs])
-    grown.add(tail)
-    return grown
+def _extend_distinct(codes: set[int], letter: int, d: int) -> set[int]:
+    """The subsequence codes of a string over ``d`` letters with ``letter``
+    appended, from the string's own codes (left as they are).
+
+    A subsequence's code reads its letters plus one as base-(d+1) digits,
+    most significant first; 0 is the empty subsequence, so the empty
+    string's codes are ``{0}`` and ``len(codes) - 1`` counts the nonempty
+    subsequences. No digit is 0, so distinct subsequences have distinct
+    codes.
+    """
+    base = d + 1
+    return codes.union([c * base + letter + 1 for c in codes])
 
 
 def _walk(start, steps, n: int, visit) -> None:
@@ -111,6 +127,36 @@ def _walk(start, steps, n: int, visit) -> None:
         down(1, start, 1, 0)
 
 
+def _row_runs(d: int, n: int, emit) -> None:
+    """Hand ``emit`` row ``n`` of the d-ary tree in order, as tuples of at
+    most ``ROW_SLICE`` consecutive entries, so no caller has to hold the row.
+
+    Row 0 is the single run ``(0,)``. Otherwise the runs come from the walk
+    with every weight 1, keeping the new counts at depth n.
+    """
+    if d < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if n < 0:
+        raise ValueError("row index must be nonnegative")
+    if n == 0:
+        emit((0,))
+        return
+    _guard_power(max(d, 2), n)  # before the d-entry weight table is built
+    run = []
+
+    def keep(depth: int, nu: int, _w: int) -> None:
+        if depth == n:
+            run.append(nu)
+            if len(run) == ROW_SLICE:
+                emit(tuple(run))
+                run.clear()
+
+    ones = (1,) * d
+    _walk(ones, (ones,) * d, n, keep)
+    if run:
+        emit(tuple(run))
+
+
 def tree_row(d: int, n: int) -> tuple[int, ...]:
     """Row ``n`` of the complete d-ary prefix tree of new-subsequence counts.
 
@@ -118,24 +164,12 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     string, in the tree's left-to-right order: children are appended in
     decreasing letter order, so the leftmost branch is the all-(d-1) string.
     For binary rows that reads 11..1 first and 00..0 last. Row 0 is the
-    empty string with value 0. Row n is the walk with every weight 1,
-    keeping the new counts at depth n: O(d**n) recurrence steps in total.
+    empty string with value 0. The row is the concatenation of the runs
+    that ``tree-row`` writes as they arrive: O(d**n) recurrence steps in
+    total.
     """
-    if d < 1:
-        raise ValueError("alphabet size must be at least 1")
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
-    if n == 0:
-        return (0,)
-    _guard_power(max(d, 2), n)  # before the d-entry weight table is built
     values = []
-
-    def keep(depth: int, nu: int, _w: int) -> None:
-        if depth == n:
-            values.append(nu)
-
-    ones = (1,) * d
-    _walk(ones, (ones,) * d, n, keep)
+    _row_runs(d, n, values.extend)
     return tuple(values)
 
 

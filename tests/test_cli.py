@@ -1,13 +1,17 @@
 """End-to-end tests for the command line interface.
 
 Each test drives ``main(argv)`` in process and inspects stdout/stderr;
-two determinism tests shell out to compare raw bytes across runs.
+a few shell out: two determinism tests compare raw bytes across runs, and
+one closes the output pipe early.
 """
 
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseqlab import MarkovModel, RootResult, cli, exhaustive_expectation
+from subseqlab import MarkovModel, RootResult, cli, exhaustive_expectation, oracle
 from subseqlab.cli import ENV_SEED, main
 from subseqlab.output import dump_json, render_csv
 
@@ -187,10 +191,37 @@ def test_tree_row_output(capsys):
 def test_tree_row_streams_the_joined_row(capsys, d, n):
     """A row of two whole slices, and one whose last slice is partial,
     prints as one join."""
-    assert d**n > cli.ROW_SLICE
+    assert d**n > oracle.ROW_SLICE
     code, out, _ = run_cli(capsys, "tree-row", "--d", str(d), "--n", str(n))
     assert code == 0
     assert out == ",".join(map(str, cli.tree_row(d, n))) + "\n"
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_tree_row_never_holds_the_row(monkeypatch):
+    """tree-row writes each run of the row as the walk hands it over. The
+    59049-entry row for d=3, n=10 costs over 1 MB as one tuple and its
+    values. Printing it may take no more than one run and its decimal
+    strings (about 300 KB) above printing the 3-entry row n=1, whose peak
+    is mostly the argument parser."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["tree-row", "--d", "3", "--n", str(n)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1), peak(10)
+    assert large - small < 512 * 1024, (small, large)
 
 
 def test_tree_row_size_guard_exit_code(capsys):
@@ -513,6 +544,42 @@ def test_simulate_workers_do_not_change_bytes():
         "--n", "14", "--trials", "90", "--seed", "13",
     )
     assert _cli_bytes(*base, "--workers", "1") == _cli_bytes(*base, "--workers", "3")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_reader_exits_one_quietly(unbuffered):
+    """A reader that leaves early, as ``| head -c 20`` does, stops the output
+    with exit code 1 and nothing on stderr. The row is far larger than a
+    pipe's buffer, so the writer meets the closed pipe either way."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subseqlab.cli", "tree-row", "--d", "2", "--n", "19"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20) == b"1,19,19,18,18,35,35,"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_superpattern_usage_shows_one_input_choice(capsys):
+    """The usage line offers --alpha, --probs, --markov and the string as
+    one required choice, and names every option that the help lists."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["superpattern", "--help"])
+    assert exit_info.value.code == 0
+    usage, *sections = capsys.readouterr().out.split("\n\n")
+    assert usage == (
+        "usage: subseqlab superpattern [-h] [--alphabet ALPHABET]\n"
+        "                              (--alpha ALPHA | --probs PROBS |\n"
+        "                               --markov MARKOV | string)\n"
+        "                              [--n N] [--trials TRIALS] [--seed SEED]\n"
+        "                              [--workers WORKERS] [--out {csv,json}]"
+    )
+    listed = [line.split()[0].rstrip(",") for part in sections for line in part.splitlines()
+              if line.startswith("  ")]
+    assert len(listed) == 11 and "string" in listed
+    assert all(name in usage for name in listed)
 
 
 def test_importing_the_cli_skips_numpy():

@@ -50,6 +50,22 @@ def test_enumerate_size_guard():
         enumerate_distinct(LetterString.from_letters([0] * (ENUMERATION_MAX + 1), BINARY))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_enumeration_is_every_subset_of_positions(d):
+    """The integer-coded sets decode to the letters at every nonempty set
+    of positions, built here from ``itertools.combinations``, for every
+    string up to length 6: the top letter d-1 and repeated letters too."""
+    alphabet = Alphabet(d)
+    for n in range(7):
+        for letters in itertools.product(range(d), repeat=n):
+            picked = {
+                tuple(letters[i] for i in positions)
+                for k in range(1, n + 1)
+                for positions in itertools.combinations(range(n), k)
+            }
+            assert enumerate_distinct(LetterString(alphabet, letters)) == picked, letters
+
+
 @given(random_binary)
 @settings(max_examples=150)
 def test_enumeration_agrees_with_counter(s):
