@@ -81,17 +81,11 @@ def _bisect(f, lo: float, hi: float, target: float = 0.0) -> RootResult:
     """Bisection for ``f(x) = target`` on [lo, hi]; endpoints must straddle."""
     f_lo = f(lo) - target
     f_hi = f(hi) - target
-    if f_lo == 0.0:
-        return RootResult(lo, 0.0, (lo, hi), 0)
-    if f_hi == 0.0:
-        return RootResult(hi, 0.0, (lo, hi), 0)
     if (f_lo > 0) == (f_hi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     iterations = 0
     while hi - lo > BRACKET_TOL:
         mid = (lo + hi) / 2.0
-        if mid <= lo or mid >= hi:
-            break  # float resolution floor
         f_mid = f(mid) - target
         iterations += 1
         if f_mid == 0.0:

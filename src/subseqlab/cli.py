@@ -55,7 +55,7 @@ _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "
 
 
 class CliError(ValueError):
-    """Invalid command-line input."""
+    """Invalid command-line input, or output that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,18 +119,32 @@ def _parse_model(args, exact: bool, takes=("alpha", "probs", "markov"), label: s
     return model
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it. On failure stdout is pointed at
+    devnull, so the flush at exit cannot fail again; a reader that left early
+    re-raises BrokenPipeError, any other OSError becomes a CliError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise CliError(f"cannot write output: {exc}") from None
+
+
 def _emit(out: str, doc, columns=(), rows=()) -> None:
     """Print ``doc`` as JSON, or the named columns of each row dict as CSV
     with a list cell joined by spaces. A row whose ``log_space`` is true
     holds ln values; the CSV then gains a trailing ``log_space`` column."""
     if out == "json":
-        sys.stdout.write(dump_json(doc))
+        _write(dump_json(doc))
         return
     if any(row.get("log_space") for row in rows):
         columns = [*columns, "log_space"]
     cells = [[row[col] for col in columns] for row in rows]
     table = [[" ".join(map(str, v)) if isinstance(v, list) else v for v in r] for r in cells]
-    sys.stdout.write(render_csv(columns, table))
+    _write(render_csv(columns, table))
 
 
 # ---------------------------------------------------------------- count
@@ -177,8 +191,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    if args.engine == "closed" and args.exact:
-        raise CliError("the closed form is floating point; use --engine matrix with --exact")
     # the closed form is the binary IID case of the matrix engine
     model = _parse_model(args, args.exact, _TAKES[args.engine], f"the {args.engine} engine")
     engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
@@ -332,8 +344,8 @@ def cmd_verify(args) -> int:
         lines.append((name, "PASS" if ok else "FAIL", detail))
     width = max(len(name) for name, _, _ in lines)
     for name, status, detail in lines:
-        sys.stdout.write(f"{name.ljust(width)}  {status}  {detail}\n")
-    sys.stdout.write(("all suites passed" if all_ok else "FAILURES above") + "\n")
+        _write(f"{name.ljust(width)}  {status}  {detail}\n")
+    _write(("all suites passed" if all_ok else "FAILURES above") + "\n")
     return 0 if all_ok else 1
 
 
@@ -345,11 +357,11 @@ def cmd_tree_row(args) -> int:
 
     def write(run) -> None:  # each run as it arrives, so the row is never held
         nonlocal sep
-        sys.stdout.write(sep + ",".join(map(str, run)))
+        _write(sep + ",".join(map(str, run)))
         sep = ","
 
     _row_runs(args.d, args.n, write)
-    sys.stdout.write("\n")
+    _write("\n")
     return 0
 
 
@@ -531,16 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if sys.stdout is None:  # started with stdout closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+; exact results have any length
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that left early fails here, not at exit
-        return code
-    except BrokenPipeError:
-        # stdout's reader is gone; point stdout at devnull so that the flush
-        # at interpreter exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except BrokenPipeError:  # from _write: stdout's reader left early
         return 1
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)

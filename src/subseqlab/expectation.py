@@ -80,13 +80,11 @@ def closed_form_binary(alpha, n: int) -> float:
 
 
 def _resolve_mode(model, mode: str) -> str:
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
-    if mode == "auto":
-        return "exact" if model.is_exact else "float"
+    if mode not in ("auto", "exact"):
+        raise ValueError(f"mode must be auto or exact, got {mode!r}")
     if mode == "exact" and not model.is_exact:
         raise ValueError("exact mode needs rational (Fraction) probabilities")
-    return mode
+    return "exact" if model.is_exact else "float"
 
 
 def _source_series(model, n: int, mode: str) -> ExpectationSeries:
@@ -107,7 +105,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     if n < 1:
         raise ValueError("n must be at least 1")
     mode = _resolve_mode(model, mode)
-    start, steps = (model if mode == "exact" else model.as_floats()).letter_source()
+    start, steps = model.letter_source()
     q0 = q = 1
     if mode == "exact":
         q0 = math.lcm(*(Fraction(p).denominator for p in start))
@@ -150,7 +148,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
 def iid_matrix_expectation(model: IIDModel, n: int, mode: str = "auto") -> ExpectationSeries:
     """Expected counts for IID strings over any alphabet size.
 
-    Exact for Fraction models under ``mode="auto"``; O(d) work per length.
+    Exact for Fraction models, in floats otherwise; O(d) work per length.
     """
     if not isinstance(model, IIDModel):
         raise TypeError(f"expected an IIDModel, got {type(model).__name__}")

@@ -21,15 +21,17 @@ def is_exact_number(value) -> bool:
 
 
 def parse_probability(text: str, exact: bool = False):
-    """Parse "0.3" or "3/10". Exact mode returns a Fraction (decimals stay exact)."""
+    """Parse "0.3" or "3/10" as a Fraction, returned as a float unless
+    ``exact`` is set. inf, nan, exponents beyond 10000 (slow to build) and,
+    as floats, values past the float range do not parse."""
     text = text.strip()
+    exponent = text.lower().partition("e")[2]
     try:
-        if exact:
-            return Fraction(text)
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError):
+        if exponent and abs(int(exponent)) > 10000:
+            raise ValueError
+        value = Fraction(text)
+        return value if exact else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"cannot parse probability {text!r}") from None
 
 

@@ -19,7 +19,6 @@ from .expectation import ExpectationSeries
 from .strings import LetterString
 
 __all__ = [
-    "ENUMERATION_MAX",
     "EXHAUSTIVE_GUARD",
     "SizeGuardError",
     "enumerate_distinct",
@@ -30,7 +29,6 @@ __all__ = [
     "superpattern_k_bruteforce",
 ]
 
-ENUMERATION_MAX = 22
 EXHAUSTIVE_GUARD = 2**20
 ROW_SLICE = 4096  # tree-row entries per run, so a streamed row is never held whole
 
@@ -54,14 +52,10 @@ def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
     Built letter by letter over integer codes (see :func:`_extend_distinct`):
     each letter extends every subsequence seen so far, the empty one
     included, which starts its singleton. The codes are decoded to tuples
-    at the end. Guarded to length 22 since the result can hold up to
-    ``2**n - 1`` elements.
+    at the end. The result can hold ``2**n - 1`` elements, so n is held to
+    the exhaustive guard like every other brute-force enumeration.
     """
-    if len(s) > ENUMERATION_MAX:
-        raise SizeGuardError(
-            f"refusing to enumerate subsequences of a length-{len(s)} string "
-            f"(max {ENUMERATION_MAX})"
-        )
+    _guard_power(2, len(s))
     d = s.alphabet.size
     codes = {0}
     for letter in s:

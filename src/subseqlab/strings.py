@@ -125,8 +125,8 @@ class IncrementalCounter:
     makes each push O(1) big-integer additions. The state is a dict keyed
     by the letters seen, so its size never depends on the alphabet's.
 
-    Single writer only; use :meth:`snapshot` / :meth:`restore` to backtrack
-    during tree walks instead of copying the counter.
+    Single writer only; :meth:`snapshot` / :meth:`restore` go back to an
+    earlier prefix without copying the counter.
     """
 
     __slots__ = ("alphabet", "_total", "_before_last")

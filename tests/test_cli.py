@@ -1,14 +1,16 @@
 """End-to-end tests for the command line interface.
 
 Each test drives ``main(argv)`` in process and inspects stdout/stderr;
-a few shell out: two determinism tests compare raw bytes across runs, and
-one closes the output pipe early.
+a few shell out: two determinism tests compare raw bytes across runs, one
+prints numbers past the interpreter's digit limit, and three meet a stdout
+that closes early, is full or is closed from the start.
 """
 
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subseqlab import MarkovModel, RootResult, cli, exhaustive_expectation, oracle
+from subseqlab import (
+    IIDModel,
+    LetterString,
+    MarkovModel,
+    RootResult,
+    cli,
+    count_distinct,
+    exhaustive_expectation,
+    iid_matrix_expectation,
+    oracle,
+)
 from subseqlab.cli import ENV_SEED, main
 from subseqlab.output import dump_json, render_csv
 
@@ -108,12 +120,14 @@ def test_expect_markov_matches_diagonal(capsys):
     assert out.splitlines()[1:] == ["1,1", "2,2.5", "3,4.75"]
 
 
-def test_expect_closed_rejects_exact(capsys):
-    code, _, err = run_cli(
-        capsys, "expect", "--engine", "closed", "--alpha", "0.5", "--n", "4", "--exact"
-    )
-    assert code == 1
-    assert "matrix" in err
+def test_expect_closed_takes_exact(capsys):
+    """--exact runs the closed engine in Fractions, row for row as the matrix
+    engine with the same --alpha."""
+    argv = ("--alpha", "3/10", "--n", "6", "--exact")
+    closed = run_cli(capsys, "expect", "--engine", "closed", *argv)
+    assert closed == run_cli(capsys, "expect", "--engine", "matrix", *argv)
+    exact = iid_matrix_expectation(IIDModel.binary(Fraction(3, 10)), 6).final()
+    assert closed[0] == 0 and closed[1].splitlines()[-1] == f"6,{exact}"
 
 
 def test_expect_engine_model_mismatch(capsys):
@@ -562,6 +576,50 @@ def test_closed_reader_exits_one_quietly(unbuffered):
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.fixture
+def any_digits():
+    """Lift the interpreter's int-to-str digit limit (3.10.7+) in this process."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
+    yield
+    if digits:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_exact_results_print_past_the_digit_limit(any_digits):
+    """A count of 8,360 digits and exact expectations whose denominators
+    have 4,320 print in full: the interpreter's 4,300-digit limit on
+    int-to-str conversion does not apply to the command."""
+    s = "01" * 20000
+    phi = _cli_bytes("count", s).decode().splitlines()[1].split(",")[2]
+    assert int(phi) == count_distinct(LetterString.from_text(s)) and len(phi) == 8360
+    rows = _cli_bytes("expect", "--engine", "matrix", "--alpha", "1/1000000000000",
+                      "--exact", "--n", "360").decode().splitlines()
+    series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 10**12)), 360)
+    assert Fraction(rows[-1].split(",")[1]) == series.final()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_full_device_is_one_error_line(unbuffered):
+    """A write that fails for want of space (the write itself when
+    unbuffered, main's flush otherwise) ends in one error line, exit 1."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", "count", "01"],
+                              stdout=full, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_closed_stdout_is_one_error_line():
+    command = f"{shlex.quote(sys.executable)} -m subseqlab.cli count 01 >&-"
+    proc = subprocess.run(command, shell=True, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+
 def test_superpattern_usage_shows_one_input_choice(capsys):
     """The usage line offers --alpha, --probs, --markov and the string as
     one required choice, and names every option that the help lists."""
@@ -750,6 +808,9 @@ REJECTED = [
     (("expect", "--engine", "markov", "--alpha", "2", "--n", "3"),
      "the markov engine takes --markov"),
     (("verify", "--max-n", "1"), "--max-n must be at least 2"),
+    (("superpattern", "--alpha", "0.5"), "experiment mode needs --n (or pass a string)"),
+    (("expect", "--engine", "matrix", "--alpha", "inf", "--n", "3"),
+     "cannot parse probability 'inf'"),
     (("solve", "--occurrences", "n5", "pattern=01", "alpha=0.5"), "expected key=value, got 'n5'"),
     (("solve", "--occurrences", "n=5", "pattern=01"), "--occurrences needs alpha"),
     (("solve", "--occurrences", "n=x", "pattern=01", "alpha=0.5"),
@@ -760,7 +821,8 @@ REJECTED = [
 @pytest.mark.parametrize(
     "argv,message", REJECTED,
     ids=["workers", "no-model", "markov-pair", "count-no-input", "count-file-and-inline",
-         "superpattern-model-alphabet", "engine-flag-before-value", "max-n", "kv-token",
+         "superpattern-model-alphabet", "engine-flag-before-value", "max-n",
+         "superpattern-no-n", "alpha-inf", "kv-token",
          "kv-missing", "kv-n"],
 )
 def test_cli_rejects_bad_input(capsys, argv, message):

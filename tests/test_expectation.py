@@ -175,13 +175,6 @@ def test_iid_matrix_float_mode_tracks_closed_form():
         )
 
 
-def test_iid_matrix_mode_override():
-    model = IIDModel.binary(Fraction(1, 2))
-    series = iid_matrix_expectation(model, 6, mode="float")
-    assert series.mode == "float"
-    assert isinstance(series.value_at(6), float)
-
-
 def test_markov_engine_matches_oracle_exactly():
     grid = (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10))
     for alpha in grid:
@@ -282,10 +275,10 @@ def rational_models(draw):
     return MarkovModel(alpha, beta)
 
 
-def engine_series(model, n, mode="auto"):
+def engine_series(model, n):
     if isinstance(model, IIDModel):
-        return iid_matrix_expectation(model, n, mode=mode)
-    return markov_expectation(model, n, mode=mode)
+        return iid_matrix_expectation(model, n)
+    return markov_expectation(model, n)
 
 
 @given(rational_models(), st.integers(1, 8))
@@ -302,7 +295,7 @@ def test_exact_engine_equals_oracle(model, n):
 @settings(max_examples=30, deadline=None)
 def test_float_engine_tracks_exact(model, n):
     exact = engine_series(model, n).values
-    floats = engine_series(model, n, mode="float")
+    floats = engine_series(model.as_floats(), n)
     assert floats.mode == "float"
     for got, want in zip(floats.values, exact):
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -323,7 +316,7 @@ def test_float_rows_past_the_range_hold_ln(d, first_ln_row):
     beside that boundary both kinds of row match the analytic value (for
     fair bits E_n = 2 * 1.5**n - 2)."""
     n = 2000
-    series = iid_matrix_expectation(IIDModel.uniform(d), n, mode="float")
+    series = iid_matrix_expectation(IIDModel.uniform(d).as_floats(), n)
     assert series.log_rows == n - first_ln_row + 1
     assert uniform_ln(d, first_ln_row - 1) < FLOAT_MAX_LN < uniform_ln(d, first_ln_row)
     for i in range(first_ln_row - 40, n + 1):
@@ -348,7 +341,7 @@ FLOAT_MODELS = [
 def test_float_rows_are_finite_and_increasing(model):
     """No row is inf or nan; the values rise up to the ln rows, and the ln
     rows (a suffix) rise from ln of the float range on."""
-    series = engine_series(model, 3000, mode="float")
+    series = engine_series(model.as_floats(), 3000)
     split = len(series) - series.log_rows
     plain, logs = series.values[:split], series.values[split:]
     assert all(math.isfinite(v) for v in series.values)
@@ -361,7 +354,7 @@ def test_markov_float_ln_rows_track_the_exact_engine():
     """The chain's ln rows agree with ln of its exact rationals."""
     model = MarkovModel(Fraction(7, 10), Fraction(3, 10))
     exact = markov_expectation(model, 2100)
-    floats = markov_expectation(model, 2100, mode="float")
+    floats = markov_expectation(model.as_floats(), 2100)
     assert floats.log_rows == 2100 - 2031 + 1
     for i in (2030, 2031, 2100):
         want = exact.value_at(i)
@@ -418,6 +411,13 @@ def test_integer_numerators_pin_uniform_d26_row():
 # message it raises.
 REJECTED = [
     pytest.param(lambda: parse_probability("x"), "cannot parse probability 'x'", id="parse"),
+    pytest.param(lambda: parse_probability("inf"), "cannot parse probability 'inf'", id="inf"),
+    pytest.param(lambda: parse_probability(" nan"), "cannot parse probability 'nan'", id="nan"),
+    pytest.param(lambda: parse_probability("1e400"), "cannot parse probability '1e400'",
+                 id="past-float-range"),
+    # its power of ten would take hours to build
+    pytest.param(lambda: parse_probability("1e-999999999"),
+                 "cannot parse probability '1e-999999999'", id="huge-exponent"),
     pytest.param(lambda: IIDModel((1.5, -0.5)), "letter probability must lie in [0, 1], got 1.5",
                  id="letter-range"),
     pytest.param(lambda: MarkovModel(0.5, 2), "beta must lie in [0, 1], got 2", id="chain-range"),
@@ -426,8 +426,8 @@ REJECTED = [
                  "probabilities must sum to 1, got 5/6", id="exact-sum"),
     pytest.param(lambda: IIDModel((0.5, 0.4)),
                  "probabilities must sum to 1 within 1e-12, got 0.9", id="float-sum"),
-    pytest.param(lambda: iid_matrix_expectation(IIDModel.binary(0.5), 3, mode="fast"),
-                 "mode must be auto, exact or float, got 'fast'", id="mode"),
+    pytest.param(lambda: iid_matrix_expectation(IIDModel.uniform(2), 3, mode="float"),
+                 "mode must be auto or exact, got 'float'", id="mode"),
     pytest.param(lambda: iid_matrix_expectation(IIDModel.binary(0.5), 3, mode="exact"),
                  "exact mode needs rational (Fraction) probabilities", id="exact-on-float"),
     pytest.param(lambda: markov_expectation(MarkovModel(0.5, 0.5), 0), "n must be at least 1",
@@ -438,3 +438,12 @@ REJECTED = [
 def test_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@given(st.floats(0, 1), st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:.40f}", "{:.0e}"]))
+@settings(max_examples=300)
+def test_parse_probability_rounds_like_float(x, form):
+    """Parsing as a Fraction and rounding once gives what float() gives."""
+    text = form.format(x)
+    assert parse_probability(text) == float(text)
+    assert parse_probability(text, exact=True) == Fraction(text)

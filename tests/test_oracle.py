@@ -13,7 +13,7 @@ from conftest import extended
 from subseqlab import (
     BINARY,
     Alphabet,
-    ENUMERATION_MAX,
+    EXHAUSTIVE_GUARD,
     IIDModel,
     LetterString,
     MarkovModel,
@@ -46,8 +46,12 @@ def test_enumerate_excludes_empty():
 
 
 def test_enumerate_size_guard():
+    """Enumeration shares the exhaustive guard: a length-n string has 2**n
+    sets of positions."""
+    top = EXHAUSTIVE_GUARD.bit_length() - 1
+    assert len(enumerate_distinct(LetterString.from_letters([0] * top, BINARY))) == top
     with pytest.raises(SizeGuardError):
-        enumerate_distinct(LetterString.from_letters([0] * (ENUMERATION_MAX + 1), BINARY))
+        enumerate_distinct(LetterString.from_letters([0] * (top + 1), BINARY))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
