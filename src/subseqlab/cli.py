@@ -13,35 +13,27 @@ from the SUBSEQLAB_SEED environment variable (0 when unset).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 
-from .analysis import expected_occurrences, occurrence_threshold, solve_balance
-from .expectation import closed_form_binary  # noqa: F401  (perfbench/traced.py wraps it here)
-from .expectation import iid_matrix_expectation, markov_expectation
-from .models import IIDModel, MarkovModel, parse_probability
-from .montecarlo import (
-    estimate_expected_count,
-    fit_growth_rate,
-    superpattern_experiment,
-    superpattern_k,
-)
-from .oracle import enumerate_distinct  # noqa: F401  (perfbench/traced.py wraps it here)
-from .oracle import (
-    SizeGuardError,
-    _extend_distinct,
-    _row_runs,
-    check_pair_structure,
-    check_submultiplicativity,
-    exhaustive_expectation,
-    superpattern_k_bruteforce,
-    tree_row,
-)
-from .output import dump_json, render_csv
-from .strings import BINARY, Alphabet, LetterString, count_distinct, new_subseq_counts
+# The library names the commands use, by home module. A command imports
+# only the modules it runs: it binds their names here first (_bind), and a
+# name read from outside binds its module's names (__getattr__). A name
+# already set here is kept, so a wrapper set on this module is the function
+# a command calls.
+_NAMES = {
+    "strings": ("BINARY", "Alphabet", "LetterString", "count_distinct", "new_subseq_counts"),
+    "models": ("IIDModel", "MarkovModel", "parse_probability"),
+    # closed_form_binary and enumerate_distinct: no command calls them, perfbench/traced.py wraps them
+    "expectation": ("closed_form_binary", "iid_matrix_expectation", "markov_expectation"),
+    "oracle": ("_extend_distinct", "_row_runs", "check_pair_structure",
+               "check_submultiplicativity", "enumerate_distinct", "exhaustive_expectation",
+               "superpattern_k_bruteforce", "tree_row"),
+    "montecarlo": ("estimate_expected_count", "fit_growth_rate", "superpattern_experiment",
+                   "superpattern_k"),
+    "analysis": ("expected_occurrences", "occurrence_threshold", "solve_balance"),
+    "output": ("dump_json", "render_csv"),
+}
 
 ENV_SEED = "SUBSEQLAB_SEED"
 _TAKES = {"closed": ("alpha",), "matrix": ("alpha", "probs"), "markov": ("markov",),
@@ -62,6 +54,33 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; route through the validation exit code (1)
     def error(self, message):
         raise CliError(message)
+
+    # argparse drops a failed write of the help text; report it as _write does
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _write(message)
+        else:
+            super()._print_message(message, file)
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind their _NAMES here, keeping any name
+    already bound."""
+    import importlib
+
+    names = globals()
+    for module in modules:
+        home = importlib.import_module(f"{__package__}.{module}")
+        for name in _NAMES[module]:
+            names.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    for module, names in _NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_seed(seed) -> int:
@@ -151,6 +170,7 @@ def _emit(out: str, doc, columns=(), rows=()) -> None:
 
 
 def cmd_count(args) -> int:
+    _bind("strings", "output")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -191,6 +211,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_expect(args) -> int:
+    _bind("models", "expectation", "output")
     # the closed form is the binary IID case of the matrix engine
     model = _parse_model(args, args.exact, _TAKES[args.engine], f"the {args.engine} engine")
     engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
@@ -216,6 +237,9 @@ def cmd_expect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import asdict
+
+    _bind("models", "montecarlo", "output")
     model = _parse_model(args, False, _TAKES[args.model], f"--model {args.model}")
     seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
@@ -285,6 +309,8 @@ def _verify_pairs(max_n: int):
 
 
 def _verify_fekete(max_n: int):
+    from fractions import Fraction
+
     cases = [
         (IIDModel.binary(Fraction(1, 2)), min(max_n, 10)),
         (IIDModel.binary(Fraction(3, 10)), min(max_n, 10)),
@@ -301,6 +327,8 @@ def _verify_fekete(max_n: int):
 
 
 def _verify_engines(max_n: int):
+    from fractions import Fraction
+
     top = min(max_n, 10)
     iid_cases = [IIDModel.binary(Fraction(1, 2)), IIDModel.binary(Fraction(3, 10))]
     for model in iid_cases:
@@ -316,6 +344,8 @@ def _verify_engines(max_n: int):
 
 
 def _verify_superpattern(max_n: int):
+    import itertools
+
     top = min(max_n, 12)
     for n in range(1, top + 1):
         for letters in itertools.product(range(2), repeat=n):
@@ -328,6 +358,7 @@ def _verify_superpattern(max_n: int):
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise CliError("--max-n must be at least 2")
+    _bind("strings", "models", "expectation", "oracle", "montecarlo")
     suites = [
         ("counting", lambda: _verify_counting(args.max_n)),
         ("rows", _verify_rows),
@@ -353,6 +384,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tree_row(args) -> int:
+    _bind("oracle")
     sep = ""
 
     def write(run) -> None:  # each run as it arrives, so the row is never held
@@ -369,6 +401,9 @@ def cmd_tree_row(args) -> int:
 
 
 def cmd_superpattern(args) -> int:
+    from dataclasses import asdict
+
+    _bind("strings", "models", "montecarlo", "output")
     # argparse lets through a string or a model, never both; each rejects the other's flags
     if args.string is not None:
         foreign, where = ("n", "trials", "seed", "workers"), "with a model, not with a string"
@@ -415,6 +450,9 @@ def _parse_kv(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
 
 
 def cmd_solve(args) -> int:
+    from dataclasses import asdict
+
+    _bind("strings", "models", "analysis", "output")
     if args.balance is not None:
         roots = solve_balance(args.balance)
         doc = {
@@ -553,7 +591,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # from _write: stdout's reader left early
         return 1
-    except SizeGuardError as exc:
+    except RuntimeError as exc:  # the oracle's SizeGuardError, if the oracle ran
+        oracle = sys.modules.get(f"{__package__}.oracle")
+        if oracle is None or not isinstance(exc, oracle.SizeGuardError):
+            raise
         print(f"size guard: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

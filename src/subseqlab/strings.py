@@ -26,8 +26,8 @@ branch.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 __all__ = [
     "Alphabet",

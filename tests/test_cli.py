@@ -2,8 +2,9 @@
 
 Each test drives ``main(argv)`` in process and inspects stdout/stderr;
 a few shell out: two determinism tests compare raw bytes across runs, one
-prints numbers past the interpreter's digit limit, and three meet a stdout
-that closes early, is full or is closed from the start.
+prints numbers past the interpreter's digit limit, some meet a stdout that
+closes early, is full or is closed from the start, and some list the modules
+a command loads.
 """
 
 import io
@@ -614,6 +615,34 @@ def test_full_device_is_one_error_line(unbuffered):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_help_on_a_full_device_is_one_error_line(unbuffered):
+    """The help text meets a full device as count's output does."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", "--help"],
+                              stdout=full, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_help_to_a_gone_reader_exits_one_quietly(unbuffered):
+    """The help text fits a pipe's buffer, so the pipe's reader is closed
+    before the command starts."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", "--help"],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_closed_stdout_is_one_error_line():
     command = f"{shlex.quote(sys.executable)} -m subseqlab.cli count 01 >&-"
     proc = subprocess.run(command, shell=True, capture_output=True)
@@ -643,6 +672,49 @@ def test_superpattern_usage_shows_one_input_choice(capsys):
 def test_importing_the_cli_skips_numpy():
     code = "import subseqlab.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# Runs the command given as arguments, then lists every loaded module on stderr.
+FOOTPRINT = """
+import sys
+from subseqlab.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(*sys.modules, file=sys.stderr)
+"""
+
+
+def _footprint(*argv) -> list[str]:
+    """The modules a new interpreter holds after running the command."""
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.split()
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (("--help",), ()),
+        (("count", "0101"), ("strings", "output")),
+        (("expect", "--engine", "closed", "--alpha", "0.3", "--n", "20"),
+         ("models", "expectation", "output")),
+        (("tree-row", "--d", "2", "--n", "3"), ("oracle", "expectation", "models", "strings")),
+        (("simulate", "--model", "iid", "--alpha", "0.5", "--n", "5", "--trials", "10"),
+         ("models", "montecarlo", "strings", "output")),
+        (("verify", "--max-n", "4"), ("strings", "models", "expectation", "oracle", "montecarlo")),
+    ],
+    ids=["help", "count", "expect", "tree-row", "simulate", "verify"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, modules):
+    """A command imports the library modules it runs and what those import."""
+    loaded = [m for m in _footprint(*argv) if m.startswith("subseqlab.")]
+    assert sorted(loaded) == sorted(["subseqlab.cli", *(f"subseqlab.{m}" for m in modules)])
+
+
+def test_help_skips_the_stdlib_modules_commands_need():
+    loaded = _footprint("--help")
+    assert [m for m in ("dataclasses", "fractions", "json", "csv", "numpy") if m in loaded] == []
 
 
 # Exact stdout of each layout the emitter writes: JSON nesting, indentation

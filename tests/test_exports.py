@@ -6,10 +6,13 @@ A guard against a half-removed or doubled export. Each module under
 assignment or an import) and listed once. The package ``__init__``
 computes its ``__all__`` from six modules' lists, so it is checked once
 imported: it re-exports exactly those lists, in order, with no name from
-two modules, and leaves ``output`` and ``cli`` out.
+two modules, and leaves ``output`` and ``cli`` out. A new interpreter
+shows that the package loads each module only when it is first read.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,13 +101,7 @@ def test_every_export_is_bound(path):
 
 
 def test_the_package_exports_what_it_imports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    starred = [
-        node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
-    ]
-    assert sorted(starred) == sorted(REEXPORTED)
+    assert subseqlab._MODULES == REEXPORTED
     assert subseqlab.__all__ == reexported()
 
 
@@ -121,3 +118,40 @@ def test_output_and_cli_names_stay_out_of_the_package():
     public = [*output.__all__, *sorted(n for n in cli_defs if not n.startswith("_"))]
     assert {"dump_json", "main"} <= set(public)
     assert [n for n in public if n in subseqlab.__all__ or hasattr(subseqlab, n)] == []
+
+
+def loaded_after(code: str) -> list[str]:
+    """The ``subseqlab.*`` modules a new interpreter holds after ``code``."""
+    report = "print(*sorted(m for m in sys.modules if m.startswith('subseqlab.')))"
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{report}"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_no_module():
+    assert loaded_after("import subseqlab") == []
+
+
+def test_a_module_loads_on_first_read():
+    assert loaded_after("from subseqlab import output") == ["subseqlab.output"]
+    assert "subseqlab.oracle" in loaded_after("import subseqlab\nsubseqlab.oracle.tree_row")
+
+
+def test_a_name_loads_its_module():
+    assert loaded_after("from subseqlab import LetterString") == ["subseqlab.strings"]
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from subseqlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(subseqlab.__all__)
+    assert all(value is getattr(subseqlab, name) for name, value in namespace.items())
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        subseqlab.no_such_name
+    with pytest.raises(ImportError):
+        from subseqlab import no_such_name  # noqa: F401
