@@ -16,25 +16,6 @@ import argparse
 import os
 import sys
 
-# The library names the commands use, by home module. A command imports
-# only the modules it runs: it binds their names here first (_bind), and a
-# name read from outside binds its module's names (__getattr__). A name
-# already set here is kept, so a wrapper set on this module is the function
-# a command calls.
-_NAMES = {
-    "strings": ("BINARY", "Alphabet", "LetterString", "count_distinct", "new_subseq_counts"),
-    "models": ("IIDModel", "MarkovModel", "parse_probability"),
-    # closed_form_binary and enumerate_distinct: no command calls them, perfbench/traced.py wraps them
-    "expectation": ("closed_form_binary", "iid_matrix_expectation", "markov_expectation"),
-    "oracle": ("_extend_distinct", "_row_runs", "check_pair_structure",
-               "check_submultiplicativity", "enumerate_distinct", "exhaustive_expectation",
-               "superpattern_k_bruteforce", "tree_row"),
-    "montecarlo": ("estimate_expected_count", "fit_growth_rate", "superpattern_experiment",
-                   "superpattern_k"),
-    "analysis": ("expected_occurrences", "occurrence_threshold", "solve_balance"),
-    "output": ("dump_json", "render_csv"),
-}
-
 ENV_SEED = "SUBSEQLAB_SEED"
 _TAKES = {"closed": ("alpha",), "matrix": ("alpha", "probs"), "markov": ("markov",),
           "iid": ("alpha", "probs")}  # the model flags each --engine or --model value takes
@@ -63,23 +44,32 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+# A command imports only the modules it runs: _bind binds each one here
+# with every name in its __all__, and a public name read from outside binds
+# the modules in the package's order until one holds it (__getattr__). A
+# name already set here is kept, so a wrapper set on this module is the
+# function a command calls.
 def _bind(*modules: str) -> None:
-    """Import ``modules`` and bind their _NAMES here, keeping any name
-    already bound."""
+    """Import ``modules`` and bind each one and the names in its ``__all__``
+    here, keeping any name already bound."""
     import importlib
 
     names = globals()
     for module in modules:
         home = importlib.import_module(f"{__package__}.{module}")
-        for name in _NAMES[module]:
+        names.setdefault(module, home)
+        for name in home.__all__:
             names.setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
-    for module, names in _NAMES.items():
-        if name in names:
+    if not name.startswith("_"):  # a private or dunder probe imports nothing
+        from . import _MODULES
+
+        for module in (*_MODULES, "output"):
             _bind(module)
-            return globals()[name]
+            if name in globals():
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -281,7 +271,7 @@ def _verify_counting(max_n: int):
         while stack:
             prefix, codes = stack.pop()
             for c in range(d):
-                letters, grown = prefix + (c,), _extend_distinct(codes, c, d)
+                letters, grown = prefix + (c,), oracle._extend_distinct(codes, c, d)
                 if count_distinct(LetterString(alphabet, letters)) != len(grown) - 1:
                     return False, f"mismatch at {letters}"
                 checked += 1
@@ -392,7 +382,7 @@ def cmd_tree_row(args) -> int:
         _write(sep + ",".join(map(str, run)))
         sep = ","
 
-    _row_runs(args.d, args.n, write)
+    oracle._row_runs(args.d, args.n, write)
     _write("\n")
     return 0
 
@@ -591,9 +581,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # from _write: stdout's reader left early
         return 1
-    except RuntimeError as exc:  # the oracle's SizeGuardError, if the oracle ran
-        oracle = sys.modules.get(f"{__package__}.oracle")
-        if oracle is None or not isinstance(exc, oracle.SizeGuardError):
+    except RuntimeError as exc:  # the oracle's SizeGuardError, bound if the oracle ran
+        if not isinstance(exc, globals().get("SizeGuardError", ())):
             raise
         print(f"size guard: {exc}", file=sys.stderr)
         return 2

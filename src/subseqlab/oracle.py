@@ -37,12 +37,12 @@ class SizeGuardError(RuntimeError):
     """An exhaustive computation would exceed the configured size guard."""
 
 
-def _guard_power(d: int, n: int) -> None:
+def _guard_power(d: int, n: int, counted: str) -> None:
     # For d >= 2, d**k exceeds the guard once k reaches its bit length, so
     # capping n there spares a huge n a huge power.
     if d ** min(n, EXHAUSTIVE_GUARD.bit_length()) > EXHAUSTIVE_GUARD:
         raise SizeGuardError(
-            f"{d}**{n} strings exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+            f"{d}**{n} {counted} exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
 
 
@@ -55,7 +55,7 @@ def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
     at the end. The result can hold ``2**n - 1`` elements, so n is held to
     the exhaustive guard like every other brute-force enumeration.
     """
-    _guard_power(2, len(s))
+    _guard_power(2, len(s), "position subsets")
     d = s.alphabet.size
     codes = {0}
     for letter in s:
@@ -101,7 +101,7 @@ def _walk(start, steps, n: int, visit) -> None:
     walks off the recursion limit.
     """
     d = len(start)
-    _guard_power(max(d, 2), n)
+    _guard_power(max(d, 2), n, "strings")
     letters = range(d - 1, -1, -1)
     base = [-1] * d
 
@@ -135,7 +135,7 @@ def _row_runs(d: int, n: int, emit) -> None:
     if n == 0:
         emit((0,))
         return
-    _guard_power(max(d, 2), n)  # before the d-entry weight table is built
+    _guard_power(max(d, 2), n, "strings")  # before the d-entry weight table is built
     run = []
 
     def keep(depth: int, nu: int, _w: int) -> None:
@@ -286,7 +286,7 @@ def superpattern_k_bruteforce(s: LetterString) -> int:
     ends = [0]
     k = 0
     while True:
-        _guard_power(d, k + 1)
+        _guard_power(d, k + 1, "patterns")
         nxt: list[int] = []
         complete = True
         for pos in ends:

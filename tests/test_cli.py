@@ -242,12 +242,29 @@ def test_tree_row_never_holds_the_row(monkeypatch):
 def test_tree_row_size_guard_exit_code(capsys):
     # A one-letter row is a single string, but its walk is 5000 deep; a
     # huge alphabet must meet the guard before any per-letter table.
-    for d, n in (("2", "30"), ("1", "5000"), ("99999999999", "2")):
-        code, _, err = run_cli(capsys, "tree-row", "--d", d, "--n", n)
-        assert code == 2
-        assert "size guard" in err
-        assert "Traceback" not in err
+    for d, n, power in (("2", "30", "2**30"), ("1", "5000", "2**5000"),
+                        ("99999999999", "2", "99999999999**2")):
+        code, out, err = run_cli(capsys, "tree-row", "--d", d, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"size guard: {power} strings exceed the exhaustive guard of 1048576\n"
     assert run_cli(capsys, "tree-row", "--d", "99999999999", "--n", "0") == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [(("count", "01"), "new_subseq_counts"), (("verify", "--max-n", "2"), "tree_row")],
+    ids=["count", "verify"],
+)
+def test_a_runtime_error_that_is_no_size_guard_propagates(monkeypatch, argv, name):
+    """Only the oracle's SizeGuardError becomes exit 2, also once verify has
+    bound the oracle; any other RuntimeError keeps its traceback."""
+
+    def broken(*args):
+        raise RuntimeError("not a size guard")
+
+    monkeypatch.setattr(cli, name, broken)
+    with pytest.raises(RuntimeError, match="^not a size guard$"):
+        main(list(argv))
 
 
 def test_simulate_single_length(capsys):

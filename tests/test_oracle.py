@@ -50,7 +50,8 @@ def test_enumerate_size_guard():
     sets of positions."""
     top = EXHAUSTIVE_GUARD.bit_length() - 1
     assert len(enumerate_distinct(LetterString.from_letters([0] * top, BINARY))) == top
-    with pytest.raises(SizeGuardError):
+    text = f"2**{top + 1} position subsets exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+    with pytest.raises(SizeGuardError, match=f"^{re.escape(text)}$"):
         enumerate_distinct(LetterString.from_letters([0] * (top + 1), BINARY))
 
 
@@ -105,12 +106,18 @@ def test_tree_row_sums_double_plus_siblings():
 
 def test_walk_depth_hits_the_size_guard():
     """One-letter walks have one string per length but are n deep: guarded,
-    not a RecursionError. A huge n is refused without computing d**n."""
-    with pytest.raises(SizeGuardError):
+    not a RecursionError. A huge n is refused without computing d**n. The
+    walk's message counts strings."""
+
+    def refused(power):
+        text = f"{power} strings exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+        return pytest.raises(SizeGuardError, match=f"^{re.escape(text)}$")
+
+    with refused("2**3000"):
         exhaustive_expectation(IIDModel((Fraction(1),)), 3000)
-    with pytest.raises(SizeGuardError):
+    with refused("2**5000"):
         tree_row(1, 5000)
-    with pytest.raises(SizeGuardError):
+    with refused("3**100000000"):
         tree_row(3, 10**8)
     assert tree_row(1, 20) == (1,)
     assert exhaustive_expectation(IIDModel((Fraction(1),)), 20).values[-1] == 20
@@ -267,6 +274,15 @@ def test_superpattern_bruteforce_known():
     assert superpattern_k_bruteforce(LetterString.from_text("0101")) == 2
     assert superpattern_k_bruteforce(LetterString.from_text("0000", BINARY)) == 0
     assert superpattern_k_bruteforce(LetterString.from_text("")) == 0
+
+
+def test_superpattern_bruteforce_size_guard():
+    """Level k + 1 holds d**(k+1) patterns: running through 102 letters
+    twice embeds every pattern of length 2, and level 3 is past the guard."""
+    s = LetterString(Alphabet(102), tuple(range(102)) * 2)
+    text = f"102**3 patterns exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+    with pytest.raises(SizeGuardError, match=f"^{re.escape(text)}$"):
+        superpattern_k_bruteforce(s)
 
 
 def test_superpattern_depends_on_alphabet():
