@@ -143,17 +143,12 @@ def _write(text: str) -> None:
 
 
 def _emit(out: str, doc, columns=(), rows=()) -> None:
-    """Print ``doc`` as JSON, or the named columns of each row dict as CSV
-    with a list cell joined by spaces. A row whose ``log_space`` is true
-    holds ln values; the CSV then gains a trailing ``log_space`` column."""
+    """Print ``doc`` as JSON, or ``rows``, value sequences matching
+    ``columns``, as CSV written as it renders (see ``render_csv``)."""
     if out == "json":
         _write(dump_json(doc))
-        return
-    if any(row.get("log_space") for row in rows):
-        columns = [*columns, "log_space"]
-    cells = [[row[col] for col in columns] for row in rows]
-    table = [[" ".join(map(str, v)) if isinstance(v, list) else v for v in r] for r in cells]
-    _write(render_csv(columns, table))
+    else:
+        render_csv(columns, rows, _write)
 
 
 # ---------------------------------------------------------------- count
@@ -174,26 +169,33 @@ def cmd_count(args) -> int:
     else:
         raw = list(enumerate(args.strings, start=1))
     alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
-    rows = []
+    strings = []  # every line parses before the first row is counted or written
     for lineno, text in raw:
         try:
-            s = LetterString.from_text(text, alphabet)
+            strings.append((text, LetterString.from_text(text, alphabet)))
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}") from None
-        profile = new_subseq_counts(s)
-        phi = sum(profile)
-        row = {"input": text, "n": len(s), "phi": phi}
-        if args.with_empty:
-            row["phi_with_empty"] = phi + 1
-        if args.profile:
-            row["profile"] = list(profile)
-        rows.append(row)
+
+    def rows(join: bool):  # one dict per string, its profile joined by spaces for CSV
+        for text, s in strings:
+            profile = new_subseq_counts(s)
+            phi = sum(profile)
+            row = {"input": text, "n": len(s), "phi": phi}
+            if args.with_empty:
+                row["phi_with_empty"] = phi + 1
+            if args.profile:
+                row["profile"] = " ".join(map(str, profile)) if join else list(profile)
+            yield row
+
+    if args.out == "json":
+        _write(dump_json({"rows": list(rows(join=False))}))
+        return 0
     columns = ["input", "n", "phi"]
     if args.with_empty:
         columns.append("phi_with_empty")
     if args.profile:
         columns.append("profile")
-    _emit(args.out, {"rows": rows}, columns, rows)
+    render_csv(columns, (row.values() for row in rows(join=True)), _write)
     return 0
 
 
@@ -206,20 +208,26 @@ def cmd_expect(args) -> int:
     model = _parse_model(args, args.exact, _TAKES[args.engine], f"the {args.engine} engine")
     engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
     series = engine(model, args.n)  # --exact parsed Fractions, so the model picks the mode
-    doc = {
-        "engine": args.engine,
-        "model": model.describe(),
-        "mode": series.mode,
-        "n": args.n,
-        "values": list(series.values),
-    }
-    rows = [
-        {"n": i, "value": v, "log_space": i > args.n - series.log_rows}
-        for i, v in enumerate(series.values, start=1)
-    ]
-    if series.log_rows:  # the last log_rows values are ln(E), past the float range
-        doc["log_space"] = [row["log_space"] for row in rows]
-    _emit(args.out, doc, ("n", "value"), rows)
+    values = series.values
+    plain = len(values) - series.log_rows  # the rows after this hold ln(E), past the float range
+    if args.out == "json":
+        doc = {
+            "engine": args.engine,
+            "model": model.describe(),
+            "mode": series.mode,
+            "n": args.n,
+            "values": values,
+        }
+        if series.log_rows:
+            doc["log_space"] = [i > plain for i in range(1, len(values) + 1)]
+        _write(dump_json(doc))
+        return 0
+    if series.mode == "float":  # the rows stream, so refuse inf or nan before the header
+        check_finite(values)
+    columns, rows = ("n", "value"), enumerate(values, start=1)
+    if series.log_rows:
+        columns, rows = (*columns, "log_space"), ((i, v, i > plain) for i, v in rows)
+    render_csv(columns, rows, _write)
     return 0
 
 
@@ -246,11 +254,13 @@ def cmd_simulate(args) -> int:
         estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
         for idx, n in enumerate(ns)
     ]
-    rows = [asdict(r) for r in records]
-    doc = {"model": model.describe(), "rows": rows}
+    doc = {"model": model.describe(), "rows": [asdict(r) for r in records]}
     if args.fit_growth:
         doc["fit"] = asdict(fit_growth_rate(ns, [r.log_mean() for r in records]))
-    _emit(args.out, doc, ("n", "mean", "stderr", "trials", "seed"), rows)
+    columns = ("n", "mean", "stderr", "trials", "seed")
+    if any(r.log_space for r in records):  # then a row's mean is ln of the mean
+        columns += ("log_space",)
+    _emit(args.out, doc, columns, ([getattr(r, col) for col in columns] for r in records))
     return 0
 
 
@@ -260,19 +270,21 @@ def cmd_simulate(args) -> int:
 def _verify_counting(max_n: int):
     """Every short string's count against its brute-force subsequence set,
     walking the prefix tree depth-first so that each set extends its
-    parent's by one letter. The sets hold the oracle's integer codes, with
-    0 for the empty subsequence, so a string's count is ``len(codes) - 1``."""
+    parent's by one letter. The sets are the oracle's per-length bitsets,
+    with the empty subsequence as bit 0 of level 0, so a string's count is
+    one less than the set bits."""
     binary_limit = min(max_n, 12)
     ternary_limit = max(2, min(8, max_n - 4))
     checked = 0
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
         alphabet = Alphabet(d)
-        stack = [((), {0})]
+        stack = [((), [1])]
         while stack:
-            prefix, codes = stack.pop()
+            prefix, levels = stack.pop()
             for c in range(d):
-                letters, grown = prefix + (c,), oracle._extend_distinct(codes, c, d)
-                if count_distinct(LetterString(alphabet, letters)) != len(grown) - 1:
+                letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
+                found = sum(b.bit_count() for b in grown) - 1
+                if count_distinct(LetterString(alphabet, letters)) != found:
                     return False, f"mismatch at {letters}"
                 checked += 1
                 if len(letters) < limit:
@@ -406,7 +418,7 @@ def cmd_superpattern(args) -> int:
         alphabet = Alphabet(args.alphabet) if args.alphabet is not None else None
         s = LetterString.from_text(args.string, alphabet)
         doc = {"input": args.string, "d": s.alphabet.size, "n": len(s), "k": superpattern_k(s)}
-        _emit(args.out, doc, list(doc), [doc])
+        _emit(args.out, doc, list(doc), [doc.values()])
         return 0
     if args.n is None:
         raise CliError("experiment mode needs --n (or pass a string)")
@@ -417,8 +429,7 @@ def cmd_superpattern(args) -> int:
     record = superpattern_experiment(model, args.n, trials, seed, workers=workers)
     histogram = {str(k): c for k, c in record.histogram}
     doc = {"model": model.describe(), **asdict(record), "histogram": histogram}
-    rows = [{"k": k, "count": c} for k, c in record.histogram]
-    _emit(args.out, doc, ("k", "count"), rows)
+    _emit(args.out, doc, ("k", "count"), record.histogram)
     return 0
 
 

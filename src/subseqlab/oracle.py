@@ -1,12 +1,13 @@
 """Brute-force ground truth for the fast counters and expectation engines.
 
 Everything here trades time for transparency: subsequence sets are built
-explicitly (as integer codes), expectations sum over every possible string
-in exact arithmetic, and structural identities are checked row by row. One
-depth-first walk over the prefix tree, with integer path weights, serves
-both the tree rows (handed out in runs, or joined into a plain tuple) and
-the exhaustive expectations. Size guards keep the exponential enumerations
-inside a sane budget and raise :class:`SizeGuardError` beyond it.
+explicitly (as bitsets, one per length), expectations sum over every
+possible string in exact arithmetic, and structural identities are checked
+row by row. One depth-first walk over the prefix tree, with integer path
+weights, serves both the tree rows (handed out in runs, or joined into a
+plain tuple) and the exhaustive expectations. Size guards keep the
+exponential enumerations inside a sane budget and raise
+:class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
@@ -49,40 +50,43 @@ def _guard_power(d: int, n: int, counted: str) -> None:
 def enumerate_distinct(s: LetterString) -> set[tuple[int, ...]]:
     """All distinct nonempty subsequences of ``s``, as tuples of letters.
 
-    Built letter by letter over integer codes (see :func:`_extend_distinct`):
+    Built letter by letter as per-length bitsets (see :func:`_extend_levels`):
     each letter extends every subsequence seen so far, the empty one
-    included, which starts its singleton. The codes are decoded to tuples
-    at the end. The result can hold ``2**n - 1`` elements, so n is held to
-    the exhaustive guard like every other brute-force enumeration.
+    included, which starts its singleton. The set bits are decoded to
+    tuples at the end. The result can hold ``2**n - 1`` elements and the
+    longest level ``d**n`` bits, so n is held to the exhaustive guard on
+    both, like every other brute-force enumeration.
     """
-    _guard_power(2, len(s), "position subsets")
-    d = s.alphabet.size
-    codes = {0}
+    d, n = s.alphabet.size, len(s)
+    _guard_power(2, n, "position subsets")
+    _guard_power(d, n, "subsequence codes")
+    levels = [1]
     for letter in s:
-        codes = _extend_distinct(codes, letter, d)
-    base = d + 1
+        levels = _extend_levels(levels, letter, d)
     subs = set()
-    for code in codes - {0}:
-        letters = []
-        while code:
-            code, digit = divmod(code, base)
-            letters.append(digit - 1)
-        subs.add(tuple(reversed(letters)))
+    for k, bits in enumerate(levels[1:], start=1):
+        for code, bit in enumerate(bin(bits)[:1:-1]):  # bit c at index c
+            if bit == "1":
+                subs.add(tuple(code // d**i % d for i in range(k)))
     return subs
 
 
-def _extend_distinct(codes: set[int], letter: int, d: int) -> set[int]:
-    """The subsequence codes of a string over ``d`` letters with ``letter``
-    appended, from the string's own codes (left as they are).
+def _extend_levels(levels: list[int], letter: int, d: int) -> list[int]:
+    """The subsequence bitsets of a string over ``d`` letters with
+    ``letter`` appended, from the string's own bitsets (left as they are).
 
-    A subsequence's code reads its letters plus one as base-(d+1) digits,
-    most significant first; 0 is the empty subsequence, so the empty
-    string's codes are ``{0}`` and ``len(codes) - 1`` counts the nonempty
-    subsequences. No digit is 0, so distinct subsequences have distinct
-    codes.
+    ``levels[k]`` has bit c set when the string holds the length-k
+    subsequence whose letters, first letter least significant, read c in
+    base d. The empty string's levels are ``[1]``, the empty subsequence
+    alone, and ``sum(b.bit_count() for b in levels) - 1`` counts the
+    nonempty subsequences. Appending a letter to a length-k subsequence
+    adds ``letter * d**k`` to its code, so each old level, shifted once,
+    joins the next.
     """
-    base = d + 1
-    return codes.union([c * base + letter + 1 for c in codes])
+    grown = levels + [0]
+    for k, bits in enumerate(levels):
+        grown[k + 1] |= bits << (letter * d**k)
+    return grown
 
 
 def _walk(start, steps, n: int, visit) -> None:

@@ -4,21 +4,27 @@ One scalar format serves both layouts: floats with 17 significant digits
 (round-trip exact), exact rationals as "p/q" (a JSON string), booleans as
 true/false. A non-finite float has no CSV or JSON form and raises
 ValueError, which the CLI reports as invalid input. CSV follows RFC 4180
-with a mandatory header row. One recursive writer lays out JSON: children
-one per line, two spaces deeper than their brackets, except that a list of
-scalars stays on one line. Objects keep insertion order, so a fixed input
-yields byte-identical output.
+with a mandatory header row and is written as it renders, a chunk of
+rows at a time, so no table is held whole. One recursive writer lays out
+JSON: children one per line, two spaces deeper than their brackets, except
+that a list of scalars stays on one line. Objects keep insertion order, so
+a fixed input yields byte-identical output.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json as _json
 import math
 from fractions import Fraction
+from itertools import filterfalse
+from types import SimpleNamespace
 
-__all__ = ["dump_json", "render_csv"]
+__all__ = ["check_finite", "dump_json", "render_csv"]
+
+# Characters per CSV write: a float row takes about 25 and an exact row can
+# take kilobytes, so chunks are cut by size to bound both memory and writes.
+CSV_CHUNK = 1 << 14
 
 
 def fmt_scalar(v) -> str:
@@ -32,6 +38,13 @@ def fmt_scalar(v) -> str:
             raise ValueError(f"cannot print the non-finite number {v!r}")
         return format(float(v), ".17g")
     return str(v)
+
+
+def check_finite(floats) -> None:
+    """Refuse the first non-finite value of ``floats`` as :func:`fmt_scalar`
+    does, so a long float column can be checked before its table streams."""
+    for v in filterfalse(math.isfinite, floats):
+        fmt_scalar(v)
 
 
 def _atom(v) -> str:
@@ -65,11 +78,28 @@ def _json_text(v, pad: str) -> str:
     return _atom(v)
 
 
-def render_csv(columns, rows) -> str:
-    """RFC 4180 CSV with a header; rows are value sequences matching columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+def render_csv(columns, rows, write) -> None:
+    """RFC 4180 CSV with a header, handed to ``write`` as it renders.
+
+    ``rows`` is an iterable of value sequences matching ``columns``, read
+    once. ``write`` gets the text in chunks: a chunk closes after the row
+    that brings it to ``CSV_CHUNK`` characters, and the rest follows in a
+    last one. No chunk is handed over until all its rows have rendered, so
+    a non-finite float within the first ``CSV_CHUNK`` characters writes
+    nothing; a caller with a longer table checks its floats before the call.
+    """
+    lines: list[str] = []
+
+    def put(line: str) -> int:  # what writerow returns
+        lines.append(line)
+        return len(line)
+
+    writer = csv.writer(SimpleNamespace(write=put), lineterminator="\n")
+    size = writer.writerow(columns)
     for row in rows:
-        writer.writerow([fmt_scalar(v) for v in row])
-    return buf.getvalue()
+        size += writer.writerow(map(fmt_scalar, row))
+        if size >= CSV_CHUNK:
+            write("".join(lines))
+            lines.clear()
+            size = 0
+    write("".join(lines))

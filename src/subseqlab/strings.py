@@ -67,8 +67,11 @@ class LetterString:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for letter in self.letters:
-            self.alphabet.check_letter(letter)
+        letters = self.letters
+        # one min and max in C; the walk names the first bad letter
+        if letters and not 0 <= min(letters) <= max(letters) < self.alphabet.size:
+            for letter in letters:
+                self.alphabet.check_letter(letter)
 
     @classmethod
     def from_letters(

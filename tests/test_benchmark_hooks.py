@@ -2,12 +2,17 @@
 
 perfbench imports names from subseqlab and wraps functions where the CLI,
 the oracle and the sampler look them up; renaming or dropping one of them
-would break the benchmark without failing any other test. These checks
-parse the perfbench scripts with ``ast`` and never run them.
+would break the benchmark without failing any other test. Most checks
+parse the perfbench scripts with ``ast``; one runs the tracer on a small
+invocation.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,22 @@ def test_traced_targets_are_callable(span, owners, attr):
     for owner_name in owners:
         owner = _resolve(*bound[owner_name])
         assert callable(getattr(owner, attr, None)), f"{span}: {owner_name}.{attr} is not callable"
+
+
+def test_traced_expect_times_the_writer_and_the_engine():
+    """The per-layer output and engine metrics read these spans. A CSV
+    writer that returned before rendering, or an engine the CLI stopped
+    calling through its own namespace, would leave them at zero."""
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), "cli", "expect", "--engine", "matrix",
+         "--probs", "1/4,1/4,1/4,1/4", "--exact", "--n", "200"],
+        capture_output=True, env=env, check=True,
+    )
+    assert proc.stdout.count(b"\n") == 201
+    mark = "@@perfbench-trace@@ "
+    report = [line for line in proc.stderr.decode().splitlines() if line.startswith(mark)]
+    agg = json.loads(report[-1][len(mark):])["agg"]
+    for span in ("output.render_csv", "expectation.iid_matrix_expectation"):
+        calls, total_s, _ = agg[span]
+        assert calls >= 1 and total_s > 0, (span, agg[span])

@@ -29,7 +29,7 @@ def test_the_cli_resolves_every_export_of_a_command_module(module):
 def test_a_name_no_module_exports_is_an_attribute_error_naming_it():
     """The oracle's private helpers are not exported, so the CLI binds
     neither of them."""
-    for name in ("no_such_name", "_row_runs", "_extend_distinct"):
+    for name in ("no_such_name", "_row_runs", "_extend_levels"):
         message = f"^module 'subseqlab.cli' has no attribute '{name}'$"
         with pytest.raises(AttributeError, match=message):
             getattr(cli, name)

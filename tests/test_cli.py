@@ -33,7 +33,9 @@ from subseqlab import (
     iid_matrix_expectation,
     oracle,
 )
+from subseqlab import output
 from subseqlab.cli import ENV_SEED, main
+from subseqlab.expectation import ExpectationSeries
 from subseqlab.output import dump_json, render_csv
 
 
@@ -86,6 +88,17 @@ def test_count_file_error_names_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", "--file", str(source))
     assert code == 1
     assert "line 2" in err
+
+
+def test_count_file_error_past_the_first_chunk_writes_nothing(tmp_path, capsys):
+    """Every line parses before the first row is written, so a bad line
+    after more good rows than one chunk of CSV holds leaves stdout empty."""
+    source = tmp_path / "strings.txt"
+    good = output.CSV_CHUNK // 4  # each row "01,2,3" takes 7 characters
+    source.write_text("01\n" * good + "012\n")
+    code, out, err = run_cli(capsys, "count", "--file", str(source), "--alphabet", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: line {good + 1}: letter 2 out of range for alphabet of size 2\n"
 
 
 def test_count_rejects_file_plus_inline(tmp_path, capsys):
@@ -219,6 +232,16 @@ class _Sink(io.TextIOBase):
         return len(text)
 
 
+def _peak(argv):
+    """The most memory ``main(argv)`` held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_tree_row_never_holds_the_row(monkeypatch):
     """tree-row writes each run of the row as the walk hands it over. The
     59049-entry row for d=3, n=10 costs over 1 MB as one tuple and its
@@ -226,17 +249,53 @@ def test_tree_row_never_holds_the_row(monkeypatch):
     strings (about 300 KB) above printing the 3-entry row n=1, whose peak
     is mostly the argument parser."""
     monkeypatch.setattr(sys, "stdout", _Sink())
-
-    def peak(n):
-        tracemalloc.start()
-        try:
-            assert main(["tree-row", "--d", "3", "--n", str(n)]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(1), peak(10)
+    small = _peak(["tree-row", "--d", "3", "--n", "1"])
+    large = _peak(["tree-row", "--d", "3", "--n", "10"])
     assert large - small < 512 * 1024, (small, large)
+
+
+EXPECT_D4 = ["expect", "--engine", "matrix", "--probs", "1/4,1/4,1/4,1/4"]
+
+
+def test_expect_never_holds_the_exact_table(monkeypatch):
+    """expect writes its CSV a chunk of rows at a time from the series. At
+    n=2000 the exact series of four uniform letters holds about 1.5 MB, and
+    its table of row dicts and text once cost about 8 MB more. Printing it
+    may take no more than the series and 512 KB above printing n=1."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    _peak([*EXPECT_D4, "--exact", "--n", "1"])  # binds what the command imports
+    small = _peak([*EXPECT_D4, "--exact", "--n", "1"])
+    tracemalloc.start()
+    try:
+        series = iid_matrix_expectation(IIDModel.uniform(4), 2000)
+        own = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del series
+    large = _peak([*EXPECT_D4, "--exact", "--n", "2000"])
+    assert large - small < own + 512 * 1024, (small, large, own)
+
+
+def test_expect_never_holds_the_float_table(monkeypatch):
+    """20000 float rows once peaked about 11.5 MB above n=1; streamed, the
+    series' own 0.6 MB is most of what remains."""
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    floats = ["expect", "--engine", "matrix", "--probs", "0.25,0.25,0.25,0.25", "--n"]
+    _peak([*floats, "1"])  # binds what the command imports
+    small, large = _peak([*floats, "1"]), _peak([*floats, "20000"])
+    assert large - small < 1024 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("out", ["csv", "json"])
+def test_a_non_finite_last_row_leaves_stdout_empty(capsys, monkeypatch, out):
+    """The rows stream, so expect checks every float before the header: a
+    non-finite value in the last of 5000 rows still prints nothing."""
+    values = (1.5,) * 4999 + (math.inf,)
+    monkeypatch.setattr(cli, "iid_matrix_expectation",
+                        lambda model, n: ExpectationSeries(values, mode="float"))
+    assert run_cli(capsys, *EXPECT_D4, "--n", "5000", "--out", out) == (
+        1, "", "error: cannot print the non-finite number inf\n"
+    )
 
 
 def test_tree_row_size_guard_exit_code(capsys):
@@ -594,6 +653,22 @@ def test_closed_reader_exits_one_quietly(unbuffered):
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_reader_of_a_long_expect_exits_one_quietly(unbuffered):
+    """expect's 20000 rows stream in chunks, far past a pipe's buffer, so a
+    reader that leaves after the first bytes meets the writer mid-table."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subseqlab.cli", "expect", "--engine", "markov",
+         "--markov", "0.7,0.3", "--n", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(28) == b"n,value,log_space\n1,1,false\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.fixture
 def any_digits():
     """Lift the interpreter's int-to-str digit limit (3.10.7+) in this process."""
@@ -920,10 +995,32 @@ def test_cli_rejects_bad_input(capsys, argv, message):
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_emitters_refuse_non_finite_floats(value):
+    """The CSV writer hands over nothing of a chunk holding a non-finite
+    value, so a short table refuses it before its header."""
     with pytest.raises(ValueError, match="non-finite number"):
         dump_json({"x": [1.5, value]})
+    written = []
     with pytest.raises(ValueError, match="non-finite number"):
-        render_csv(["x"], [[1.5], [value]])
+        render_csv(["x"], [[1.5], [value]], written.append)
+    assert written == []
+
+
+def test_render_csv_writes_in_chunks_of_about_csv_chunk():
+    """A chunk closes after the row that brings it to CSV_CHUNK characters,
+    and the chunks join to RFC 4180 CSV with a cell quoted where needed."""
+    wide = "9" * 1000
+    rows = [(i, Fraction(i, 3), i % 2 == 0, "a,b" if i == 5 else wide) for i in range(50)]
+    written = []
+    render_csv(["n", "value", "even", "label"], iter(rows), written.append)
+    *full, last = written
+    assert len(full) >= 2
+    assert all(output.CSV_CHUNK <= len(chunk) < output.CSV_CHUNK + 1024 for chunk in full)
+    assert 0 < len(last) < output.CSV_CHUNK
+    lines = "".join(written).splitlines()
+    assert lines[0] == "n,value,even,label"
+    assert lines[1:3] == [f"0,0/1,true,{wide}", f"1,1/3,false,{wide}"]
+    assert lines[6] == '5,5/3,false,"a,b"'
+    assert len(lines) == 51
 
 
 def test_dump_json_atoms():

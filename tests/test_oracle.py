@@ -55,6 +55,29 @@ def test_enumerate_size_guard():
         enumerate_distinct(LetterString.from_letters([0] * (top + 1), BINARY))
 
 
+def test_enumerate_guards_the_widest_level():
+    """The length-n level has a bit for each of the d**n codes, so a
+    ternary string meets the guard long before its 2**n position subsets."""
+    ternary = Alphabet(3)
+    assert len(enumerate_distinct(LetterString(ternary, (2,) * 12))) == 12
+    text = f"3**13 subsequence codes exceed the exhaustive guard of {EXHAUSTIVE_GUARD}"
+    with pytest.raises(SizeGuardError, match=f"^{re.escape(text)}$"):
+        enumerate_distinct(LetterString(ternary, (0,) * 13))
+
+
+def test_levels_hold_each_length_as_base_d_codes():
+    """Over letters 0 and 1, "010" holds 0 and 1, then 00, 01 and 10 (codes
+    0, 2 and 1, the first letter least significant), then 010 (code 2)."""
+    levels = [1]
+    for letter in (0, 1, 0):
+        levels = oracle._extend_levels(levels, letter, 2)
+    assert levels == [0b1, 0b11, 0b111, 0b100]
+    ternary = [1]
+    for letter in (2, 1):
+        ternary = oracle._extend_levels(ternary, letter, 3)
+    assert ternary == [1, (1 << 2) | (1 << 1), 1 << (2 + 1 * 3)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_enumeration_is_every_subset_of_positions(d):
     """The integer-coded sets decode to the letters at every nonempty set

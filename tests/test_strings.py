@@ -44,6 +44,18 @@ def test_letter_string_validates_letters():
         LetterString.from_letters([-1], Alphabet(3))
 
 
+@pytest.mark.parametrize(
+    "letters,bad", [((0, 1, 2, 5, 1, 7, 0), 5), ((2, 0, -1, 1, 2), -1), ((1, 3), 3)],
+    ids=["past-the-top", "negative", "last"],
+)
+def test_letter_string_names_its_first_bad_letter(letters, bad):
+    """Letters are checked by their minimum and maximum; when that fails, the
+    walk names the first letter out of range, wherever it stands."""
+    message = f"letter {bad} out of range for alphabet of size 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LetterString(Alphabet(3), letters)
+
+
 def test_from_text_digit_form():
     s = LetterString.from_text("0120")
     assert s.alphabet.size == 3
