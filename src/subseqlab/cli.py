@@ -13,6 +13,7 @@ from the SUBSEQLAB_SEED environment variable (0 when unset).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -129,22 +130,31 @@ def _parse_model(args, exact: bool, takes=("alpha", "probs", "markov"), label: s
 
 
 def _write(text: str) -> None:
-    """Write ``text`` to stdout and flush it. On failure stdout is pointed at
-    devnull, so the flush at exit cannot fail again; a reader that left early
-    re-raises BrokenPipeError, any other OSError becomes a CliError."""
+    """Hand ``text`` to stdout's file until every byte is taken, so no buffer
+    holds output; a text stream with no binary layer takes it as is. A reader
+    that left early re-raises BrokenPipeError; any other OSError is a CliError."""
+    out = sys.stdout
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        out.flush()  # text printed before this keeps its place
+        if not hasattr(out, "buffer"):
+            out.write(text)
+            return
+        file = getattr(out.buffer, "raw", out.buffer)  # a raw FileIO when unbuffered
+        view = memoryview(text.encode(out.encoding, out.errors))
+        while view:
+            taken = file.write(view)
+            if taken is None:  # a non-blocking stdout that is full
+                raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+            view = view[taken:]
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             raise
         raise CliError(f"cannot write output: {exc}") from None
 
 
 def _emit(out: str, doc, columns=(), rows=()) -> None:
-    """Print ``doc`` as JSON, or ``rows``, value sequences matching
-    ``columns``, as CSV written as it renders (see ``render_csv``)."""
+    """Print ``doc`` as JSON or ``rows`` (value sequences matching
+    ``columns``) as streamed CSV; only the format printed reads its generators."""
     if out == "json":
         _write(dump_json(doc))
     else:
@@ -187,15 +197,12 @@ def cmd_count(args) -> int:
                 row["profile"] = " ".join(map(str, profile)) if join else list(profile)
             yield row
 
-    if args.out == "json":
-        _write(dump_json({"rows": list(rows(join=False))}))
-        return 0
     columns = ["input", "n", "phi"]
     if args.with_empty:
         columns.append("phi_with_empty")
     if args.profile:
         columns.append("profile")
-    render_csv(columns, (row.values() for row in rows(join=True)), _write)
+    _emit(args.out, {"rows": rows(join=False)}, columns, (row.values() for row in rows(join=True)))
     return 0
 
 
@@ -209,25 +216,16 @@ def cmd_expect(args) -> int:
     engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
     series = engine(model, args.n)  # --exact parsed Fractions, so the model picks the mode
     values = series.values
-    plain = len(values) - series.log_rows  # the rows after this hold ln(E), past the float range
-    if args.out == "json":
-        doc = {
-            "engine": args.engine,
-            "model": model.describe(),
-            "mode": series.mode,
-            "n": args.n,
-            "values": values,
-        }
-        if series.log_rows:
-            doc["log_space"] = [i > plain for i in range(1, len(values) + 1)]
-        _write(dump_json(doc))
-        return 0
-    if series.mode == "float":  # the rows stream, so refuse inf or nan before the header
+    if series.mode == "float":  # the rows stream, so refuse inf or nan before the first byte
         check_finite(values)
+    plain = len(values) - series.log_rows  # the rows after this hold ln(E), past the float range
+    doc = {"engine": args.engine, "model": model.describe(), "mode": series.mode, "n": args.n,
+           "values": values}
     columns, rows = ("n", "value"), enumerate(values, start=1)
-    if series.log_rows:
+    if series.log_rows:  # each format reads its own lazy flags
+        doc["log_space"] = (i > plain for i in range(1, len(values) + 1))
         columns, rows = (*columns, "log_space"), ((i, v, i > plain) for i, v in rows)
-    render_csv(columns, rows, _write)
+    _emit(args.out, doc, columns, rows)
     return 0
 
 
@@ -427,8 +425,7 @@ def cmd_superpattern(args) -> int:
     trials = 1000 if args.trials is None else args.trials
     workers = 1 if args.workers is None else args.workers
     record = superpattern_experiment(model, args.n, trials, seed, workers=workers)
-    histogram = {str(k): c for k, c in record.histogram}
-    doc = {"model": model.describe(), **asdict(record), "histogram": histogram}
+    doc = {"model": model.describe(), **asdict(record), "histogram": dict(record.histogram)}
     _emit(args.out, doc, ("k", "count"), record.histogram)
     return 0
 

@@ -18,10 +18,10 @@ the model's ``letter_rows()``, so the sampler needs no case per model:
 independent letters are drawn a slab at a time, chain letters a column at
 a time.
 
-Counts are exact integers per trial: int64 for the first INT64_COLUMNS
-letters, Python ints after. Once any count exceeds 2**53 a float64 can no
-longer hold it exactly, so the estimate switches to log space and the
-record carries a flag saying so.
+Counts are exact integers per trial: int64 while every count of a block
+stays below 2**62, Python ints after. Once any count exceeds 2**53 a
+float64 can no longer hold it exactly, so the estimate switches to log
+space and the record carries a flag saying so.
 
 numpy and the process pool are imported by the functions that use them,
 so importing the package (and every CLI command that does not sample)
@@ -62,7 +62,6 @@ MAX_SEED = 2**64
 BLOCK = 4096  # trials per random stream
 STATE = 2**18  # letter state (rows * d) a block may hold: BLOCK rows up to d = 64
 CELLS = 2**14  # uniforms per slab a block draws at a time
-INT64_COLUMNS = 62  # letters counted in int64 before counts switch to Python ints
 
 
 def _check_run(n: int, trials: int, seed: int, min_trials: int, too_few: str) -> None:
@@ -135,16 +134,16 @@ def _count_block(columns, rows: int, d: int) -> list[int]:
     """:func:`_count_distinct_fast` of ``rows`` strings at once, fed one
     column of letters (one letter per string) at a time.
 
-    Counts stay in int64 for the first INT64_COLUMNS letters, where
-    phi <= 2**62 - 1, and are Python ints (object arrays) after that.
+    Counts stay in int64 while all are below 2**62, where ``2 * total + 1``
+    still fits, and are Python ints (object arrays) after that.
     """
     import numpy as np
 
     ar = np.arange(rows)
     total = np.zeros(rows, dtype=np.int64)
     base = np.full((rows, d), -1, dtype=np.int64)
-    for i, c in enumerate(columns):
-        if i == INT64_COLUMNS:
+    for c in columns:
+        if total.dtype == np.int64 and total.max() >= 2**62:
             total, base = total.astype(object), base.astype(object)
         b = base[ar, c]
         base[ar, c] = total

@@ -58,7 +58,8 @@ def _atom(v) -> str:
 
 
 def dump_json(value) -> str:
-    """Serialize dicts/lists/scalars with a deterministic layout."""
+    """Serialize dicts, lists (or iterators, as lists) and scalars with a
+    deterministic layout."""
     return _json_text(value, "") + "\n"
 
 
@@ -70,6 +71,8 @@ def _json_text(v, pad: str) -> str:
             return "{}"
         items = (f"{inner}{_json.dumps(str(k))}: {_json_text(x, inner)}" for k, x in v.items())
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if hasattr(v, "__next__"):  # an iterator is an array, read once
+        v = list(v)
     if isinstance(v, (list, tuple)):
         if not any(isinstance(x, (dict, list, tuple)) for x in v):  # the empty list too
             return "[" + ", ".join(map(_atom, v)) + "]"

@@ -3,14 +3,18 @@
 Each test drives ``main(argv)`` in process and inspects stdout/stderr;
 a few shell out: two determinism tests compare raw bytes across runs, one
 prints numbers past the interpreter's digit limit, some meet a stdout that
-closes early, is full or is closed from the start, and some list the modules
-a command loads.
+closes early, is full, does not block or is closed from the start, and some
+list the modules a command loads.
 """
 
+import contextlib
+import errno
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -284,6 +288,18 @@ def test_expect_never_holds_the_float_table(monkeypatch):
     _peak([*floats, "1"])  # binds what the command imports
     small, large = _peak([*floats, "1"]), _peak([*floats, "20000"])
     assert large - small < 1024 * 1024, (small, large)
+
+
+def test_count_never_holds_its_rows(monkeypatch, tmp_path):
+    """count's CSV rows, profiles included, stream as they are counted: 2000
+    binary strings of 200 letters peak at about 4.6 MB, most of it the
+    parsed strings, where holding every row as JSON does takes about 38 MB."""
+    rng = random.Random(0)
+    lines = ("".join(rng.choice("01") for _ in range(200)) for _ in range(2000))
+    (tmp_path / "strings.txt").write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    _peak(["count", "0110", "--profile"])  # binds what the command imports
+    assert _peak(["count", "--file", str(tmp_path / "strings.txt"), "--profile"]) < 8 * 10**6
 
 
 @pytest.mark.parametrize("out", ["csv", "json"])
@@ -653,20 +669,26 @@ def test_closed_reader_exits_one_quietly(unbuffered):
     assert (proc.returncode, err) == (1, b"")
 
 
+LONG_EXPECT = ("expect", "--engine", "markov", "--markov", "0.7,0.3", "--n", "20000")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_closed_reader_of_a_long_expect_exits_one_quietly(unbuffered):
-    """expect's 20000 rows stream in chunks, far past a pipe's buffer, so a
-    reader that leaves after the first bytes meets the writer mid-table."""
+    """expect's 20000 rows run far past a pipe's buffer, as CSV chunks or
+    as one JSON text, so a reader that leaves after the first bytes meets
+    the writer mid-output, and must stop it the same way whether or not
+    stdout is buffered."""
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "subseqlab.cli", "expect", "--engine", "markov",
-         "--markov", "0.7,0.3", "--n", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(28) == b"n,value,log_space\n1,1,false\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (1, b"")
+    heads = {"csv": b"n,value,log_space\n1,1,false\n", "json": b'{\n  "engine": "markov",\n'}
+    for out, head in heads.items():
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subseqlab.cli", *LONG_EXPECT, "--out", out],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (out, proc.returncode, err) == (out, 1, b"")
 
 
 @pytest.fixture
@@ -696,8 +718,9 @@ def test_exact_results_print_past_the_digit_limit(any_digits):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_full_device_is_one_error_line(unbuffered):
-    """A write that fails for want of space (the write itself when
-    unbuffered, main's flush otherwise) ends in one error line, exit 1."""
+    """A write that fails for want of space ends in one error line, exit 1,
+    buffered or not: the command hands its bytes to the device itself, so
+    no buffer is left to fail again at exit."""
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", "count", "01"],
@@ -733,6 +756,43 @@ def test_help_to_a_gone_reader_exits_one_quietly(unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not hasattr(os, "set_blocking"), reason="needs non-blocking pipes")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_full_non_blocking_pipe_is_one_error_line(unbuffered):
+    """A non-blocking stdout that fills takes no more bytes and says so
+    rather than blocking; the command stops with one error line instead of
+    dropping the rest of its output and exiting 0."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.set_blocking(write, False)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", *LONG_EXPECT],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+        os.close(read)
+    message = f"[Errno {errno.EAGAIN}] write could not complete without blocking"
+    assert (proc.returncode, proc.stderr.decode()) == (1, f"error: cannot write output: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_text_printed_before_main_comes_first(unbuffered):
+    """The command flushes what was printed to sys.stdout before it writes
+    its own bytes past the text layer."""
+    script = ("import sys; from subseqlab.cli import main; "
+              "print('before'); sys.exit(main(['count', '01']))")
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"before\ninput,n,phi\n01,2,3\n", b"")
+
+
+def test_a_text_stream_without_a_binary_layer_takes_the_output():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["count", "0110"]) == 0
+    assert buf.getvalue() == "input,n,phi\n0110,4,10\n"
 
 
 def test_closed_stdout_is_one_error_line():
@@ -869,6 +929,50 @@ LAYOUTS = [
 def test_output_layouts(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, expected)
+
+
+# The exit code and the first 16 hex digits of stdout's sha256 for one small
+# invocation per command and format, so a change to the output path shows
+# whether any byte moved. The error rows print nothing.
+GOLDEN = [
+    (0, "335930d6ea7baef2", ("count", "0110", "10", "--with-empty", "--profile")),
+    (0, "7e159255201155c8",
+     ("count", "0110", "10", "--with-empty", "--profile", "--out", "json")),
+    (1, "e3b0c44298fc1c14", ("count", "01", "--alphabet", "1")),
+    (0, "67a4d37ea9048506", ("expect", "--engine", "closed", "--alpha", "0.3", "--n", "12")),
+    (0, "6c5e9ac18a50a68a", ("expect", "--engine", "matrix", "--probs", "1/2,1/3,1/6",
+                             "--exact", "--n", "10", "--out", "json")),
+    (0, "5efa4604b94e4714",
+     ("expect", "--engine", "markov", "--markov", "7/10,3/10", "--exact", "--n", "12")),
+    (0, "b0252bc11e11d648", ("expect", "--engine", "markov", "--markov", "0.7,0.3", "--n", "2040")),
+    (0, "973464bb8a7d0f9c",
+     ("expect", "--engine", "markov", "--markov", "0.7,0.3", "--n", "2040", "--out", "json")),
+    (1, "e3b0c44298fc1c14", ("expect", "--engine", "closed", "--markov", "0.7,0.3", "--n", "3")),
+    (0, "82b2ba756a394656",
+     ("simulate", "--model", "iid", "--alpha", "0.5", "--n", "12", "--trials", "200", "--seed", "5")),
+    (0, "933529362eb68af5",
+     ("simulate", "--model", "iid", "--alpha", "0.5", "--n", "100", "--trials", "50", "--seed", "1")),
+    (0, "f91dbc549bef1b15", ("simulate", "--model", "markov", "--markov", "0.7,0.3", "--grid", "4:12:4",
+                             "--trials", "100", "--seed", "3", "--fit-growth", "--out", "json")),
+    (0, "e4f84db3557a3e42", ("superpattern", "0100110", "--alphabet", "2")),
+    (0, "7fb546d67fec98a2", ("superpattern", "0100110", "--out", "json")),
+    (0, "2c166758971765f9",
+     ("superpattern", "--alpha", "0.5", "--n", "40", "--trials", "30", "--seed", "5")),
+    (0, "5456abd5a6e64b12", ("superpattern", "--markov", "0.7,0.3", "--n", "40", "--trials", "30",
+                             "--seed", "5", "--out", "json")),
+    (0, "0a434cf96a6b107d", ("verify", "--max-n", "5")),
+    (0, "d7c5b3c42109ad1d", ("tree-row", "--d", "3", "--n", "3")),
+    (2, "e3b0c44298fc1c14", ("tree-row", "--d", "3", "--n", "40")),
+    (0, "263c5b375a1c39d0", ("solve", "--balance", "0.75")),
+    (0, "e019781675e80fd1",
+     ("solve", "--occurrences", "n=30", "pattern=0110", "alpha=0.5", "log=true")),
+]
+
+
+@pytest.mark.parametrize("code, digest, argv", GOLDEN, ids=[" ".join(g[2]) for g in GOLDEN])
+def test_output_matches_the_recorded_digest(capsys, code, digest, argv):
+    got, out, _ = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
 
 
 # Each suite's fast side as ``wrong(real, *args)``, wrong on one case, and
@@ -1021,6 +1125,14 @@ def test_render_csv_writes_in_chunks_of_about_csv_chunk():
     assert lines[1:3] == [f"0,0/1,true,{wide}", f"1,1/3,false,{wide}"]
     assert lines[6] == '5,5/3,false,"a,b"'
     assert len(lines) == 51
+
+
+def test_dump_json_reads_an_iterator_once_as_a_list():
+    rows = ({"i": i} for i in range(2))
+    assert dump_json({"flags": iter([True, False]), "rows": rows, "none": iter(())}) == (
+        '{\n  "flags": [true, false],\n  "rows": [\n    {\n      "i": 0\n    },\n'
+        '    {\n      "i": 1\n    }\n  ],\n  "none": []\n}\n'
+    )
 
 
 def test_dump_json_atoms():
