@@ -147,6 +147,8 @@ def _write(text: str) -> None:
                 raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
             view = view[taken:]
     except OSError as exc:
+        with open(os.devnull, "wb") as devnull:  # text still buffered cannot fail again at exit
+            os.dup2(devnull.fileno(), out.fileno())
         if isinstance(exc, BrokenPipeError):
             raise
         raise CliError(f"cannot write output: {exc}") from None

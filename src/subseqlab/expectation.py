@@ -4,7 +4,8 @@ One recurrence gives ``E[count(S_n)]`` under the nonempty convention. It
 runs over a model's letter source (see ``IIDModel.letter_source``), so it
 serves IID strings over any alphabet and the two-state Markov chain alike.
 It tracks the expected new-count weight built up since each letter last
-occurred and costs O(d * m**2) per length for d letters and m hidden states.
+occurred, once per letter law, and costs O(L * m**2 + d * m) per length for
+d letters, L laws (distinct step and carry columns) and m hidden states.
 When the model carries Fractions it runs exactly, on integer numerators at
 scale q0 * q**i (q0 and q the common denominators of the start and the
 steps), and builds one Fraction per row; otherwise it runs in floats, where
@@ -95,6 +96,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     1), split by the state the source is in now. Appending letter c earns
     ``acc[c] @ steps[c]``; afterwards ``acc[c]`` restarts from the letter's
     total new weight, plus its old weight carried through every other letter.
+    Letters with equal step and carry columns (one law) share an ``acc`` row.
     Exact mode scales ``start`` by q0 and ``steps`` by q, the lcm of their
     denominators, so after i letters ``acc`` and ``total`` are ints at scale
     ``q0 * q**i`` and row i is one ``Fraction(total, q0 * q**i)``. Floats
@@ -114,17 +116,21 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
         steps = [[[int(p * q) for p in row] for row in step] for step in steps]
     letters, states = range(len(steps)), range(len(start))
     # column-major, so each entry of a row-vector product is one sum(map(mul))
-    step_cols = [list(zip(*steps[c])) for c in letters]
-    carry_cols = [
-        [[sum(steps[t][s][u] for t in letters if t != c) for s in states] for u in states]
+    laws = [
+        (tuple(zip(*steps[c])),
+         tuple(tuple(sum(steps[t][s][u] for t in letters if t != c) for s in states)
+               for u in states))
         for c in letters
     ]
-    acc = [list(start) for _ in steps]
+    law_of = {law: g for g, law in enumerate(dict.fromkeys(laws))}
+    group = [law_of[law] for law in laws]
+    step_cols, carry_cols = zip(*law_of)
+    acc = [list(start) for _ in law_of]
     total, scale = 0, q0
     values, k, log_rows = [], 0, 0
     for _ in range(n):
         earned = [[sum(map(mul, a, col)) for col in cols] for a, cols in zip(acc, step_cols)]
-        weight = [sum(col) for col in zip(*earned)]
+        weight = [sum(map(col.__getitem__, group)) for col in zip(*earned)]  # letter by letter
         total = total * q + sum(weight)
         scale *= q
         acc = [
@@ -148,7 +154,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
 def iid_matrix_expectation(model: IIDModel, n: int, mode: str = "auto") -> ExpectationSeries:
     """Expected counts for IID strings over any alphabet size.
 
-    Exact for Fraction models, in floats otherwise; O(d) work per length.
+    Exact for Fraction models, in floats otherwise.
     """
     if not isinstance(model, IIDModel):
         raise TypeError(f"expected an IIDModel, got {type(model).__name__}")

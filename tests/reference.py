@@ -2,6 +2,8 @@
 package calls them."""
 
 import math
+from fractions import Fraction
+from operator import mul
 
 
 def asymptotic_constants(alpha) -> tuple[float, float]:
@@ -16,3 +18,51 @@ def asymptotic_constants(alpha) -> tuple[float, float]:
         raise ValueError("asymptotic constants need alpha strictly inside (0, 1)")
     r = math.sqrt(a * (1.0 - a))
     return 1.0 + r, (1.0 + 2.0 * r) / (2.0 * r)
+
+
+def per_letter_series(model, n: int) -> tuple[tuple, int]:
+    """``(values, log_rows)`` of ``E[count(S_i)]``, i = 1..n, from the
+    last-occurrence recurrence with one ``acc`` row per letter, which the
+    engine, sharing a row among letters of one law, must equal bit for bit.
+
+    Exact on integer numerators at scale ``q0 * q**i`` for exact models, in
+    floats otherwise; float state is divided by 2**600 once the total
+    passes it, and a row past the float range holds its ln.
+    """
+    start, steps = model.letter_source()
+    q0 = q = 1
+    if model.is_exact:
+        q0 = math.lcm(*(Fraction(p).denominator for p in start))
+        q = math.lcm(*(Fraction(p).denominator for step in steps for row in step for p in row))
+        start = [int(p * q0) for p in start]
+        steps = [[[int(p * q) for p in row] for row in step] for step in steps]
+    letters, states = range(len(steps)), range(len(start))
+    step_cols = [list(zip(*steps[c])) for c in letters]
+    carry_cols = [
+        [[sum(steps[t][s][u] for t in letters if t != c) for s in states] for u in states]
+        for c in letters
+    ]
+    acc = [list(start) for _ in steps]
+    total, scale = 0, q0
+    values, k, log_rows = [], 0, 0
+    for _ in range(n):
+        earned = [[sum(map(mul, a, col)) for col in cols] for a, cols in zip(acc, step_cols)]
+        weight = [sum(col) for col in zip(*earned)]
+        total = total * q + sum(weight)
+        scale *= q
+        acc = [
+            [w + sum(map(mul, a, col)) for w, col in zip(weight, cols)]
+            for a, cols in zip(acc, carry_cols)
+        ]
+        if model.is_exact:
+            values.append(Fraction(total, scale))
+            continue
+        if total > 2.0**600:
+            acc = [[math.ldexp(x, -600) for x in a] for a in acc]
+            total, k = math.ldexp(total, -600), k + 600
+        if math.frexp(total)[1] + k <= 1024:
+            values.append(math.ldexp(total, k) if k else total)
+        else:
+            values.append(math.log(total) + k * math.log(2))
+            log_rows += 1
+    return tuple(values), log_rows

@@ -788,6 +788,40 @@ def test_text_printed_before_main_comes_first(unbuffered):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"before\ninput,n,phi\n01,2,3\n", b"")
 
 
+PRINT_THEN_MAIN = ("import sys; from subseqlab.cli import main; print('before'); "
+                   "sys.stdin.readline(); sys.exit(main(['count', '01']))")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_text_printed_before_main_to_a_gone_reader_exits_one_quietly(unbuffered):
+    """A caller prints, its reader leaves, then it runs the command: exit 1
+    and nothing on stderr, with no second failure when the interpreter
+    flushes what the caller's print left in sys.stdout's buffer. An
+    unbuffered print meets the pipe at once, so there the reader takes the
+    line before it leaves."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-c", PRINT_THEN_MAIN], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if unbuffered:
+        assert proc.stdout.readline() == b"before\n"
+    proc.stdout.close()
+    _, err = proc.communicate(b"\n", timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_text_printed_before_main_to_a_full_device_is_one_error_line():
+    """The caller's buffered print fails with the command's write, and not
+    again at exit."""
+    env = {**os.environ, "PYTHONUNBUFFERED": ""}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-c", PRINT_THEN_MAIN], input=b"\n",
+                              stdout=full, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
 def test_a_text_stream_without_a_binary_layer_takes_the_output():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -948,6 +982,11 @@ GOLDEN = [
     (0, "973464bb8a7d0f9c",
      ("expect", "--engine", "markov", "--markov", "0.7,0.3", "--n", "2040", "--out", "json")),
     (1, "e3b0c44298fc1c14", ("expect", "--engine", "closed", "--markov", "0.7,0.3", "--n", "3")),
+    (0, "b0da290402a54efe", ("expect", "--engine", "matrix", "--probs", D26, "--n", "2000")),
+    (0, "4ea4467d8ddc41c8",
+     ("expect", "--engine", "matrix", "--probs", "1/4,1/4,1/4,1/4", "--exact", "--n", "1000")),
+    (0, "00ee902cd8838815",
+     ("expect", "--engine", "matrix", "--probs", "0.188,0.02,0.604,0.188", "--n", "300")),
     (0, "82b2ba756a394656",
      ("simulate", "--model", "iid", "--alpha", "0.5", "--n", "12", "--trials", "200", "--seed", "5")),
     (0, "933529362eb68af5",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import asymptotic_constants
+from reference import asymptotic_constants, per_letter_series
 from subseqlab import (
     IIDModel,
     MarkovModel,
@@ -405,6 +405,56 @@ def test_integer_numerators_pin_uniform_d26_row():
     """Row 200 of 26 uniform letters, against the symmetric closed form."""
     want = _perfbench_checks().uniform_iid_exact(26, 200)[-1]
     assert iid_matrix_expectation(IIDModel.uniform(26), 200).final() == want
+
+
+def same_rows(series, want):
+    """``series`` holds the rows and ln-row count of ``want``, a
+    ``(values, log_rows)`` pair: bit for bit in float mode, ``==`` in exact."""
+    def bits(values):
+        return [v.hex() if isinstance(v, float) else v for v in values]
+    return (bits(series.values), series.log_rows) == (bits(want[0]), want[1])
+
+
+def iid_from_text(probs, exact):
+    return IIDModel(tuple(parse_probability(p, exact) for p in probs.split(",")))
+
+
+@st.composite
+def repeated_law_models(draw):
+    """IID models whose letters share one to three probabilities (weights
+    0..9 over their total, each on one to four letters) in any order, as
+    Fractions or as floats."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True).filter(any))
+    letters = draw(st.permutations([w for w in weights for _ in range(draw(st.integers(1, 4)))]))
+    model = IIDModel(tuple(Fraction(w, sum(letters)) for w in letters))
+    return model if draw(st.booleans()) else model.as_floats()
+
+
+@given(repeated_law_models(), st.integers(1, 120))
+@settings(max_examples=40, deadline=None)
+def test_letters_of_one_law_share_a_row_without_changing_any(model, n):
+    assert same_rows(iid_matrix_expectation(model, n), per_letter_series(model, n))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_equal_probabilities_with_unequal_carries_keep_their_rows(exact):
+    """Letters 0 and 3 have equal p, but in floats the other letters' sum,
+    their carry, differs by one ulp between them, so they are two laws."""
+    model = iid_from_text("0.188,0.02,0.604,0.188", exact)
+    p = model.probs
+    assert (p[1] + p[2] + p[3] != p[0] + p[1] + p[2]) is not exact
+    assert same_rows(iid_matrix_expectation(model, 300), per_letter_series(model, 300))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_zero_probability_letters_change_no_row(exact):
+    """Letters that never occur, appended or interleaved, leave every row of
+    the fair coin as it was, past its rescaling and into its ln rows."""
+    coin = iid_matrix_expectation(iid_from_text("0.5,0.5", exact), 2000)
+    assert (coin.log_rows > 0) is not exact
+    for probs in ("0.5,0.5,0,0,0", "0,0.5,0,0.5"):
+        series = iid_matrix_expectation(iid_from_text(probs, exact), 2000)
+        assert same_rows(series, (coin.values, coin.log_rows))
 
 
 # Inputs each check of the model and engine layers refuses, with the
