@@ -8,8 +8,10 @@ expected pattern-occurrence counts.
 
 Each module's ``__all__`` is its public API, and the package re-exports
 those lists unchanged; ``output`` and ``cli`` stay out of the package
-namespace. Importing the package loads none of the modules: a submodule,
-a re-exported name or ``__all__`` loads what it needs on first access.
+namespace. Importing the package loads none of the modules, and names
+resolve from ``_MODULES`` alone: a module's name imports that module, and
+any other public name imports the modules in order until one lists it in
+its ``__all__``.
 """
 
 __version__ = "0.1.0"
@@ -19,32 +21,18 @@ _MODULES = ("strings", "models", "expectation", "oracle", "montecarlo", "analysi
 
 
 def __getattr__(name: str):
-    if name == "__all__":
-        value = [n for module in _MODULES for n in _load(module).__all__]
-    elif name.startswith("_"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    else:
-        value = _load(name) or _exported(name)
-    globals()[name] = value
-    return value
-
-
-def _load(module: str):
-    """The submodule ``module``, imported on first use, or None if there is none."""
     import importlib
 
-    try:
-        return importlib.import_module(f"{__name__}.{module}")
-    except ModuleNotFoundError as exc:
-        if exc.name != f"{__name__}.{module}":
-            raise
-        return None
-
-
-def _exported(name: str):
-    """``name`` from the first of _MODULES whose ``__all__`` lists it."""
-    for module in _MODULES:
-        home = _load(module)
-        if name in home.__all__:
-            return getattr(home, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    modules = (importlib.import_module(f"{__name__}.{module}") for module in _MODULES)
+    if name in (*_MODULES, "cli", "output"):
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name == "__all__":
+        value = [n for module in modules for n in module.__all__]
+    elif name.startswith("_") or (  # a private or dunder probe imports nothing
+        home := next((module for module in modules if name in module.__all__), None)
+    ) is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        value = getattr(home, name)
+    globals()[name] = value
+    return value

@@ -292,7 +292,7 @@ def _verify_counting(max_n: int):
     return True, f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"
 
 
-def _verify_rows():
+def _verify_rows(max_n: int):
     binary_rows = [(0,), (1, 1), (1, 2, 2, 1), (1, 3, 3, 2, 2, 3, 3, 1)]
     for n, expected in enumerate(binary_rows):
         if tree_row(2, n) != expected:
@@ -332,16 +332,17 @@ def _verify_engines(max_n: int):
     from fractions import Fraction
 
     top = min(max_n, 10)
-    iid_cases = [IIDModel.binary(Fraction(1, 2)), IIDModel.binary(Fraction(3, 10))]
-    for model in iid_cases:
-        if iid_matrix_expectation(model, top).values != exhaustive_expectation(model, top).values:
-            return False, f"iid engine mismatch for {model.describe()}"
-    tern = IIDModel.uniform(3)
-    if iid_matrix_expectation(tern, 6).values != exhaustive_expectation(tern, 6).values:
-        return False, "iid engine mismatch for uniform ternary"
-    markov = MarkovModel(Fraction(7, 10), Fraction(3, 10))
-    if markov_expectation(markov, top).values != exhaustive_expectation(markov, top).values:
-        return False, "markov engine mismatch"
+    cases = [  # (engine, model, length, failure text; None names the model)
+        (iid_matrix_expectation, IIDModel.binary(Fraction(1, 2)), top, None),
+        (iid_matrix_expectation, IIDModel.binary(Fraction(3, 10)), top, None),
+        (iid_matrix_expectation, IIDModel.uniform(3), min(max_n, 6),
+         "iid engine mismatch for uniform ternary"),
+        (markov_expectation, MarkovModel(Fraction(7, 10), Fraction(3, 10)), top,
+         "markov engine mismatch"),
+    ]
+    for engine, model, n, failure in cases:
+        if engine(model, n).values != exhaustive_expectation(model, n).values:
+            return False, failure or f"iid engine mismatch for {model.describe()}"
     return True, f"iid d=2/d=3 and markov vs exhaustive, n<={top}"
 
 
@@ -362,22 +363,18 @@ def cmd_verify(args) -> int:
         raise CliError("--max-n must be at least 2")
     _bind("strings", "models", "expectation", "oracle", "montecarlo")
     suites = [
-        ("counting", lambda: _verify_counting(args.max_n)),
+        ("counting", _verify_counting),
         ("rows", _verify_rows),
-        ("pair-structure", lambda: _verify_pairs(args.max_n)),
-        ("fekete", lambda: _verify_fekete(args.max_n)),
-        ("engines", lambda: _verify_engines(args.max_n)),
-        ("superpattern", lambda: _verify_superpattern(args.max_n)),
+        ("pair-structure", _verify_pairs),
+        ("fekete", _verify_fekete),
+        ("engines", _verify_engines),
+        ("superpattern", _verify_superpattern),
     ]
-    all_ok = True
-    lines = []
-    for name, run in suites:
-        ok, detail = run()
-        all_ok = all_ok and ok
-        lines.append((name, "PASS" if ok else "FAIL", detail))
-    width = max(len(name) for name, _, _ in lines)
-    for name, status, detail in lines:
-        _write(f"{name.ljust(width)}  {status}  {detail}\n")
+    results = [(name, *run(args.max_n)) for name, run in suites]
+    width = max(len(name) for name, _ in suites)
+    for name, ok, detail in results:
+        _write(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}\n")
+    all_ok = all(ok for _, ok, _ in results)
     _write(("all suites passed" if all_ok else "FAILURES above") + "\n")
     return 0 if all_ok else 1
 

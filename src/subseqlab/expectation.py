@@ -80,14 +80,6 @@ def closed_form_binary(alpha, n: int) -> float:
     return ((1.0 - 2.0 * r) * (1.0 - decay) + (1.0 + 2.0 * r) * (grow - 1.0)) / (2.0 * r)
 
 
-def _resolve_mode(model, mode: str) -> str:
-    if mode not in ("auto", "exact"):
-        raise ValueError(f"mode must be auto or exact, got {mode!r}")
-    if mode == "exact" and not model.is_exact:
-        raise ValueError("exact mode needs rational (Fraction) probabilities")
-    return "exact" if model.is_exact else "float"
-
-
 def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     """Iterate the last-occurrence recurrence over ``model.letter_source()``.
 
@@ -106,7 +98,11 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mode = _resolve_mode(model, mode)
+    if mode not in ("auto", "exact"):
+        raise ValueError(f"mode must be auto or exact, got {mode!r}")
+    if mode == "exact" and not model.is_exact:
+        raise ValueError("exact mode needs rational (Fraction) probabilities")
+    mode = "exact" if model.is_exact else "float"
     start, steps = model.letter_source()
     q0 = q = 1
     if mode == "exact":

@@ -171,14 +171,6 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _require_exact(model) -> None:
-    if not model.is_exact:
-        raise ValueError(
-            "exhaustive expectation runs in exact arithmetic; "
-            "build the model from Fractions"
-        )
-
-
 def exhaustive_expectation(model, n: int) -> ExpectationSeries:
     """Exact ``E[count(S_i)]`` for i = 1..n by enumerating every string.
 
@@ -195,7 +187,11 @@ def exhaustive_expectation(model, n: int) -> ExpectationSeries:
         raise ValueError("n must be nonnegative")
     # Validate before the cache: a float model compares equal to its exact
     # twin, so a cache hit would otherwise skip the exactness check.
-    _require_exact(model)
+    if not model.is_exact:
+        raise ValueError(
+            "exhaustive expectation runs in exact arithmetic; "
+            "build the model from Fractions"
+        )
     return _exhaustive_expectation_cached(model, n)
 
 

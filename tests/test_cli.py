@@ -1038,6 +1038,10 @@ VERIFY_FAILURES = {
                     "iid engine mismatch for iid(1/2,1/2)"),
     "engines-markov": ("engines", "markov_expectation",
                        lambda real, model, n: real(model, n + 1), "markov engine mismatch"),
+    "engines-skewed": (
+        "engines", "iid_matrix_expectation",
+        lambda real, model, n: real(model, n + (model.describe() == "iid(7/10,3/10)")),
+        "iid engine mismatch for iid(7/10,3/10)"),
 }
 
 
@@ -1056,6 +1060,16 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch, suite, name, wrong,
     assert len(status) == 6
     assert status.pop(suite) == ["FAIL", detail]
     assert all(state == "PASS" for state, _ in status.values())
+
+
+def test_verify_engines_stop_at_max_n(capsys, monkeypatch):
+    """The ternary engine case runs no longer than --max-n, which it prints."""
+    real = cli.iid_matrix_expectation
+    monkeypatch.setattr(cli, "iid_matrix_expectation",
+                        lambda model, n: real(model, n + (model.d == 3 and n > 3)))
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "3")
+    assert code == 0
+    assert "engines         PASS  iid d=2/d=3 and markov vs exhaustive, n<=3\n" in out
 
 
 def test_malformed_seed_environment_is_rejected(capsys, monkeypatch):

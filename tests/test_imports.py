@@ -5,6 +5,8 @@ A stand-in for a linter's unused-import rule: each module under
 import must be read somewhere in its module, and an import inside a
 function somewhere in that function. ``__init__.py`` re-exports its
 imports, and an import whose lines carry ``noqa`` is kept on purpose.
+Likewise, a module-level function whose name starts with one underscore
+must be read somewhere in the package, by name or as a module attribute.
 """
 
 import ast
@@ -70,3 +72,36 @@ def test_modules_were_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions that no source reads."""
+    trees = [ast.parse(source) for source in sources]
+    helpers = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, FUNCTIONS) and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in helpers if name not in read]
+
+
+def test_the_check_finds_a_dead_helper():
+    first = (
+        "def _used(): pass\ndef _dead(): pass\ndef __getattr__(name): pass\n"
+        "class C:\n    def _method(self): pass\n\ndef f():\n    def _inner(): pass\n"
+        "    return _used()\n"
+    )
+    second = "from . import first\n\ndef _remote(): pass\n\nfirst._remote2\n_remote = 1\n"
+    assert dead_helpers([first, second]) == ["_dead", "_remote"]
+
+
+def test_every_private_helper_is_read():
+    assert dead_helpers([path.read_text() for path in PACKAGE.glob("*.py")]) == []
