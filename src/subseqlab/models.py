@@ -143,13 +143,8 @@ class MarkovModel:
         ``steps[c][s][s2] = T[s][c]`` when ``s2 == c`` and 0 otherwise, with
         ``T[s][1]`` the chance of a one after letter s.
         """
-        g = self.gamma
-        trans = ((1 - self.beta, self.beta), (1 - self.alpha, self.alpha))
-        steps = tuple(
-            tuple(tuple(trans[s][c] if s2 == c else 0 for s2 in (0, 1)) for s in (0, 1))
-            for c in (0, 1)
-        )
-        return (1 - g, g), steps
+        a, b, g = self.alpha, self.beta, self.gamma
+        return (1 - g, g), (((1 - b, 0), (1 - a, 0)), ((0, b), (0, a)))
 
     def letter_rows(self) -> tuple:
         """``(rows, after)``: the stationary first letter in ``rows[0]``, and

@@ -151,19 +151,8 @@ def _count_block(columns, rows: int, d: int) -> list[int]:
     return total.tolist()
 
 
-def _greedy_rounds(letters: list[int], d: int) -> int:
-    seen: set[int] = set()
-    k = 0
-    for c in letters:
-        seen.add(c)
-        if len(seen) == d:
-            k += 1
-            seen.clear()
-    return k
-
-
 def _greedy_block(columns, rows: int, d: int) -> list[int]:
-    """:func:`_greedy_rounds` of ``rows`` strings at once, fed one column of
+    """:func:`superpattern_k` of ``rows`` strings at once, fed one column of
     letters at a time: a ``(rows, d)`` seen matrix and a size per row."""
     import numpy as np
 
@@ -333,7 +322,15 @@ def superpattern_k(s: LetterString) -> int:
     letter missing from the leftover tail, cannot embed, so no longer
     pattern length works.
     """
-    return _greedy_rounds(list(s.letters), s.alphabet.size)
+    d = s.alphabet.size
+    seen: set[int] = set()
+    k = 0
+    for c in s.letters:
+        seen.add(c)
+        if len(seen) == d:
+            k += 1
+            seen.clear()
+    return k
 
 
 @dataclass(frozen=True)

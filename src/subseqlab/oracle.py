@@ -269,9 +269,10 @@ def check_submultiplicativity(model, n: int, m: int) -> bool:
 def superpattern_k_bruteforce(s: LetterString) -> int:
     """Largest k with every length-k pattern embedded, by direct enumeration.
 
-    Walks pattern space level by level, tracking for every pattern the end
-    position of its leftmost embedding via a next-occurrence table; level
-    k + 1 is reachable only while every pattern of length k + 1 embeds.
+    ``ends`` holds, for every length-k pattern in order, the position just
+    past its leftmost embedding, read from a next-occurrence table. Level
+    k + 1 is complete iff every letter occurs at or after every end; its
+    ends are then ``next_at[pos][c] + 1`` for each end pos and each c in turn.
     Exponential in the answer, so guarded by the exhaustive budget.
     """
     d = s.alphabet.size
@@ -287,18 +288,7 @@ def superpattern_k_bruteforce(s: LetterString) -> int:
     k = 0
     while True:
         _guard_power(d, k + 1, "patterns")
-        nxt: list[int] = []
-        complete = True
-        for pos in ends:
-            for c in range(d):
-                q = next_at[pos][c] + 1
-                if q > n:
-                    complete = False
-                    break
-                nxt.append(q)
-            if not complete:
-                break
-        if not complete:
+        if any(n in next_at[pos] for pos in ends):
             return k
+        ends = [q + 1 for pos in ends for q in next_at[pos]]
         k += 1
-        ends = nxt

@@ -66,3 +66,21 @@ def per_letter_series(model, n: int) -> tuple[tuple, int]:
             values.append(math.log(total) + k * math.log(2))
             log_rows += 1
     return tuple(values), log_rows
+
+
+def dbonacci(d: int, n: int) -> tuple[int, ...]:
+    """The d-bonacci numbers ``nu_1, ..., nu_n``: from ``nu_0 = 1`` and
+    ``nu_i = 0`` for i < 0, each term is the sum of the d before it.
+
+    ``nu_i`` is the new-subsequence count at letter i of the cyclic string
+    ``0 1 ... d-1 0 1 ...``, which has the most distinct subsequences of any
+    d-ary string of its length (Flaxman, Harrow & Sorkin, Electron. J.
+    Combin. 11 (2004) R8), so that string counts ``sum(dbonacci(d, n))``.
+    For d = 2 these are the Fibonacci numbers ``F(2), ..., F(n + 1)``.
+    """
+    window = [0] * (d - 1) + [1]
+    terms = []
+    for _ in range(n):
+        window = window[1:] + [sum(window)]
+        terms.append(window[-1])
+    return tuple(terms)

@@ -227,6 +227,32 @@ def test_markov_model_rejects_undefined_start():
         MarkovModel(Fraction(1), Fraction(0))
 
 
+# Chains whose step table is pinned entry by entry: exact, float, and
+# boundary chains holding int probabilities.
+STEP_CHAINS = [
+    pytest.param(Fraction(7, 10), Fraction(3, 10), id="7/10,3/10"),
+    pytest.param(0.7, 0.3, id="0.7,0.3"),
+    pytest.param(0, 1, id="0,1"),
+    pytest.param(1, Fraction(1, 2), id="1,1/2"),
+    pytest.param(Fraction(1, 2), 0, id="1/2,0"),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", STEP_CHAINS)
+def test_markov_steps_follow_their_rule(alpha, beta):
+    """``steps[c][s][s2]`` is ``T[s][c]`` when ``s2 == c`` and the int 0
+    otherwise, with ``T = ((1 - beta, beta), (1 - alpha, alpha))``; each
+    entry keeps its type (Fraction, float or int)."""
+    t = ((1 - beta, beta), (1 - alpha, alpha))
+    want = [[[t[s][c] if s2 == c else 0 for s2 in (0, 1)] for s in (0, 1)] for c in (0, 1)]
+    _, steps = MarkovModel(alpha, beta).letter_source()
+
+    def typed(table):
+        return [[[(type(x), x) for x in row] for row in step] for step in table]
+
+    assert typed(steps) == typed(want)
+
+
 # (alpha, beta) -> gamma: exact and integer-boundary chains keep a Fraction,
 # and one float probability makes gamma a float.
 GAMMAS = [

@@ -38,7 +38,6 @@ from subseqlab.montecarlo import (
     _count_block,
     _count_distinct_fast,
     _greedy_block,
-    _greedy_rounds,
     _run_trials,
     _slabs,
     superpattern_k,
@@ -277,7 +276,9 @@ def test_greedy_block_over_seventy_letters():
     """Rows of a 70-letter alphabet close rounds as the scalar scan does."""
     model = IIDModel.uniform(70)
     ks = _block(_greedy_block, model, 1000, 30, 13, 2, BLOCK, 0)
-    assert ks == [_greedy_rounds(r, 70) for r in block_rows(model, 30, 1000)]
+    assert ks == [
+        superpattern_k(LetterString(Alphabet(70), tuple(r))) for r in block_rows(model, 30, 1000)
+    ]
     assert max(ks) >= 2
 
 
@@ -289,7 +290,7 @@ def test_block_skips_a_zero_probability_letter():
         _count_distinct_fast(r, 3) for r in rows
     ]
     assert _block(_greedy_block, model, 64, 40, 13, 2, BLOCK, 0) == [
-        _greedy_rounds(r, 3) for r in rows
+        superpattern_k(LetterString(Alphabet(3), tuple(r))) for r in rows
     ]
 
 

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import extended
@@ -311,6 +311,38 @@ def test_superpattern_bruteforce_size_guard():
 def test_superpattern_depends_on_alphabet():
     """Over a one-letter alphabet the same text covers everything."""
     assert superpattern_k_bruteforce(LetterString.from_text("0000")) == 4
+
+
+def naive_superpattern_k(s: LetterString) -> int:
+    """Largest k with each of the d**k patterns a subsequence of ``s``,
+    tried one pattern at a time."""
+
+    def embeds(pattern) -> bool:
+        it = iter(s.letters)
+        return all(c in it for c in pattern)
+
+    letters = range(s.alphabet.size)
+    k = 0
+    while all(embeds(p) for p in itertools.product(letters, repeat=k + 1)):
+        k += 1
+    return k
+
+
+# Strings of up to 9 letters over 1 to 3 letters, often using fewer letters
+# than their alphabet holds.
+small_strings = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.integers(0, d - 1), max_size=9).map(
+        lambda xs: LetterString(Alphabet(d), tuple(xs))
+    )
+)
+
+
+@given(small_strings)
+@example(LetterString(Alphabet(3), (0, 1, 0, 1, 0, 1)))
+@example(LetterString(Alphabet(3), (2, 1, 0, 0, 1, 2, 1)))
+@settings(max_examples=200)
+def test_superpattern_bruteforce_is_the_naive_search(s):
+    assert superpattern_k_bruteforce(s) == naive_superpattern_k(s)
 
 
 @given(random_binary)
