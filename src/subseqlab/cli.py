@@ -217,7 +217,7 @@ def cmd_expect(args) -> int:
     model = _parse_model(args, args.exact, _TAKES[args.engine], f"the {args.engine} engine")
     engine = markov_expectation if args.engine == "markov" else iid_matrix_expectation
     series = engine(model, args.n)  # --exact parsed Fractions, so the model picks the mode
-    values = series.values
+    values = series.rows  # exact rows print as their reduced pairs, with no Fraction built
     if series.mode == "float":  # the rows stream, so refuse inf or nan before the first byte
         check_finite(values)
     plain = len(values) - series.log_rows  # the rows after this hold ln(E), past the float range

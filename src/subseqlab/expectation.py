@@ -8,9 +8,10 @@ occurred, once per letter law, and costs O(L * m**2 + d * m) per length for
 d letters, L laws (distinct step and carry columns) and m hidden states.
 When the model carries Fractions it runs exactly, on integer numerators at
 scale q0 * q**i (q0 and q the common denominators of the start and the
-steps), and builds one Fraction per row; otherwise it runs in floats, where
-a row past the float64 range holds ln(E). The paper's closed form for IID
-binary strings stays here as a test reference.
+steps), and hands each row out as a reduced integer pair, cancelled only by
+the primes of q0 * q; otherwise it runs in floats, where a row past the
+float64 range holds ln(E). The paper's closed form for IID binary strings
+stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .models import IIDModel, MarkovModel
@@ -30,29 +32,67 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
+class Ratio:
+    """An exact rational already in lowest terms, with a positive
+    denominator: the engine's exact row, which nothing normalises again."""
+
+    numerator: int
+    denominator: int
+
+
+def _reduced(num: int, den: int, base: int) -> Ratio:
+    """``num / den`` in lowest terms, where every prime of ``den`` divides
+    ``base``.
+
+    Each pass takes ``g = gcd(base, num, den)``, one pass over each big
+    number by a small one, and strips g, g**2, g**4, ... from both while
+    the power divides them; the passes end when g is 1. No prime of
+    ``base`` is ever found, so a large prime in it costs nothing extra.
+    """
+    while (g := math.gcd(base, num, den)) > 1:
+        power = g
+        while num % power == 0 and den % power == 0:
+            num, den, power = num // power, den // power, power * power
+    return Ratio(num, den)
+
+
+def _value(row):
+    """A row as ``ExpectationSeries.values`` holds it: a :class:`Ratio`
+    becomes a Fraction."""
+    return Fraction(row.numerator, row.denominator) if isinstance(row, Ratio) else row
+
+
 @dataclass(frozen=True)
 class ExpectationSeries:
     """``E[distinct nonempty subsequences of S_i]`` for i = 1..n.
 
-    ``values[0]`` corresponds to i = 1; :meth:`value_at` takes the 1-based
-    length. ``mode`` is "exact" (Fraction values) or "float". The last
-    ``log_rows`` float values exceed the float64 range and hold ln(E).
+    ``rows[0]`` corresponds to i = 1; :meth:`value_at` takes the 1-based
+    length. ``mode`` is "exact" or "float". Exact rows are Fractions or the
+    engine's :class:`Ratio` pairs, and ``values`` reads every row as a
+    Fraction, built on first read; :meth:`value_at` and :meth:`final`
+    convert only the row they return. The last ``log_rows`` float rows exceed
+    the float64 range and hold ln(E).
     """
 
-    values: tuple
+    rows: tuple
     mode: str
     log_rows: int = 0
 
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(map(_value, self.rows))
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.rows)
 
     def value_at(self, i: int):
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"series holds i = 1..{len(self.values)}, asked for {i}")
-        return self.values[i - 1]
+        if not 1 <= i <= len(self.rows):
+            raise IndexError(f"series holds i = 1..{len(self.rows)}, asked for {i}")
+        return _value(self.rows[i - 1])
 
     def final(self):
-        return self.values[-1]
+        return _value(self.rows[-1])
 
 
 def closed_form_binary(alpha, n: int) -> float:
@@ -91,10 +131,11 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     Letters with equal step and carry columns (one law) share an ``acc`` row.
     Exact mode scales ``start`` by q0 and ``steps`` by q, the lcm of their
     denominators, so after i letters ``acc`` and ``total`` are ints at scale
-    ``q0 * q**i`` and row i is one ``Fraction(total, q0 * q**i)``. Floats
-    run the same loop with q = q0 = 1 and are kept at scale 2**-k (divided
-    by 2**600, which is exact, once ``total`` passes it); a row whose
-    ``2**k * total`` overflows holds its ln.
+    ``q0 * q**i``, and row i is ``total / (q0 * q**i)`` as a :class:`Ratio`
+    that :func:`_reduced` cancels with the primes of ``q0 * q``, the only
+    ones the scale holds. Floats run the same loop with q = q0 = 1 and are
+    kept at scale 2**-k (divided by 2**600, which is exact, once ``total``
+    passes it); a row whose ``2**k * total`` overflows holds its ln.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -134,7 +175,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
             for a, cols in zip(acc, carry_cols)
         ]
         if mode == "exact":
-            values.append(Fraction(total, scale))
+            values.append(_reduced(total, scale, q0 * q))
             continue
         if total > 2.0**600:
             acc = [[math.ldexp(x, -600) for x in a] for a in acc]

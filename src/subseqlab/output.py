@@ -8,17 +8,15 @@ with a mandatory header row and is written as it renders, a chunk of
 rows at a time, so no table is held whole. One recursive writer lays out
 JSON: children one per line, two spaces deeper than their brackets, except
 that a list of scalars stays on one line. Objects keep insertion order, so
-a fixed input yields byte-identical output.
+a fixed input yields byte-identical output. An exact rational is a Fraction
+or the expectation engine's reduced pair; the json module loads only for
+JSON output.
 """
 
 from __future__ import annotations
 
-import csv
-import json as _json
 import math
-from fractions import Fraction
-from itertools import filterfalse
-from types import SimpleNamespace
+from itertools import chain, filterfalse
 
 __all__ = ["check_finite", "dump_json", "render_csv"]
 
@@ -31,12 +29,14 @@ def fmt_scalar(v) -> str:
     """Canonical text of a scalar: a CSV cell, or a JSON atom before quoting."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"cannot print the non-finite number {v!r}")
         return format(float(v), ".17g")
+    if isinstance(v, (int, str)):
+        return str(v)
+    if hasattr(v, "denominator"):  # a Fraction, or a pair already in lowest terms
+        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
@@ -47,13 +47,21 @@ def check_finite(floats) -> None:
         fmt_scalar(v)
 
 
+def _quote(text: str) -> str:
+    import json
+
+    return json.dumps(text)
+
+
 def _atom(v) -> str:
     if v is None:
         return "null"
     if isinstance(v, (bool, int, float)):
         return fmt_scalar(v)
-    if isinstance(v, (Fraction, str)):
-        return _json.dumps(fmt_scalar(v))
+    if isinstance(v, str):
+        return _quote(v)
+    if hasattr(v, "denominator"):  # an exact rational: "p/q" needs no escapes
+        return f'"{fmt_scalar(v)}"'
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -69,7 +77,7 @@ def _json_text(v, pad: str) -> str:
     if isinstance(v, dict):
         if not v:
             return "{}"
-        items = (f"{inner}{_json.dumps(str(k))}: {_json_text(x, inner)}" for k, x in v.items())
+        items = (f"{inner}{_quote(str(k))}: {_json_text(x, inner)}" for k, x in v.items())
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if hasattr(v, "__next__"):  # an iterator is an array, read once
         v = list(v)
@@ -81,26 +89,34 @@ def _json_text(v, pad: str) -> str:
     return _atom(v)
 
 
+def _cell(v) -> str:
+    """A CSV field: a str holding a comma, a quote or a newline is quoted,
+    its quotes doubled; every other scalar prints as :func:`fmt_scalar`."""
+    if not isinstance(v, str):
+        return fmt_scalar(v)
+    if "," in v or '"' in v or "\n" in v:
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
 def render_csv(columns, rows, write) -> None:
     """RFC 4180 CSV with a header, handed to ``write`` as it renders.
 
     ``rows`` is an iterable of value sequences matching ``columns``, read
-    once. ``write`` gets the text in chunks: a chunk closes after the row
+    once. A row of one empty cell prints as ``""``, so it is not a blank
+    line. ``write`` gets the text in chunks: a chunk closes after the row
     that brings it to ``CSV_CHUNK`` characters, and the rest follows in a
     last one. No chunk is handed over until all its rows have rendered, so
     a non-finite float within the first ``CSV_CHUNK`` characters writes
     nothing; a caller with a longer table checks its floats before the call.
     """
     lines: list[str] = []
-
-    def put(line: str) -> int:  # what writerow returns
+    size = 0
+    for row in chain((columns,), rows):
+        cells = list(map(_cell, row))
+        line = '""\n' if cells == [""] else ",".join(cells) + "\n"
         lines.append(line)
-        return len(line)
-
-    writer = csv.writer(SimpleNamespace(write=put), lineterminator="\n")
-    size = writer.writerow(columns)
-    for row in rows:
-        size += writer.writerow(map(fmt_scalar, row))
+        size += len(line)
         if size >= CSV_CHUNK:
             write("".join(lines))
             lines.clear()

@@ -8,6 +8,7 @@ list the modules a command loads.
 """
 
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -903,6 +904,13 @@ def test_help_skips_the_stdlib_modules_commands_need():
     assert [m for m in ("dataclasses", "fractions", "json", "csv", "numpy") if m in loaded] == []
 
 
+def test_csv_expect_loads_neither_csv_nor_json():
+    """CSV is joined by hand and json loads for JSON output alone."""
+    argv = ("expect", "--engine", "matrix", "--probs", "1/2,1/2", "--exact", "--n", "5")
+    assert [m for m in ("csv", "json") if m in _footprint(*argv)] == []
+    assert "json" in _footprint(*argv, "--out", "json")
+
+
 # Exact stdout of each layout the emitter writes: JSON nesting, indentation
 # and key order, inline scalar lists, exact rationals, and one-row CSV.
 LAYOUTS = [
@@ -987,6 +995,13 @@ GOLDEN = [
      ("expect", "--engine", "matrix", "--probs", "1/4,1/4,1/4,1/4", "--exact", "--n", "1000")),
     (0, "00ee902cd8838815",
      ("expect", "--engine", "matrix", "--probs", "0.188,0.02,0.604,0.188", "--n", "300")),
+    # q = 12 and q = 1000 hold repeated primes, which each exact row cancels in part
+    (0, "cc7a87b3df632903",
+     ("expect", "--engine", "matrix", "--probs", "1/12,5/12,1/2", "--exact", "--n", "200")),
+    (0, "6aab90ac9e68c3be", ("expect", "--engine", "matrix", "--probs", "1/12,5/12,1/2",
+                             "--exact", "--n", "200", "--out", "json")),
+    (0, "849dac5240285262",
+     ("expect", "--engine", "markov", "--markov", "1/8,999/1000", "--exact", "--n", "200")),
     (0, "82b2ba756a394656",
      ("simulate", "--model", "iid", "--alpha", "0.5", "--n", "12", "--trials", "200", "--seed", "5")),
     (0, "933529362eb68af5",
@@ -1178,6 +1193,41 @@ def test_render_csv_writes_in_chunks_of_about_csv_chunk():
     assert lines[1:3] == [f"0,0/1,true,{wide}", f"1,1/3,false,{wide}"]
     assert lines[6] == '5,5/3,false,"a,b"'
     assert len(lines) == 51
+
+
+def csv_module_render(columns, rows) -> str:
+    """What the csv module writes for the rows, each scalar formatted first."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(output.fmt_scalar, row) for row in rows)
+    return text.getvalue()
+
+
+csv_text = st.lists(st.sampled_from([",", '"', "\n", " ", "a"]), max_size=4).map("".join)
+csv_cells = (
+    csv_text | st.integers() | st.fractions() | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(csv_text, min_size=1, max_size=3),
+       st.lists(st.lists(csv_cells, min_size=1, max_size=4), max_size=5))
+def test_render_csv_writes_what_the_csv_module_writes(columns, rows):
+    """Quoting, doubled quotes and the lone empty cell as csv.writer has them."""
+    written = []
+    render_csv(columns, rows, written.append)
+    assert "".join(written) == csv_module_render(columns, rows)
+
+
+def test_render_csv_leaves_a_carriage_return_unquoted():
+    """Only a comma, a quote or a newline quotes a cell, as Python 3.11's
+    csv module does with this line terminator; count refuses such input, so
+    no command prints it."""
+    written = []
+    render_csv(["a", "b"], [["x\ry", ""], [""]], written.append)
+    assert written == ['a,b\nx\ry,\n""\n']
 
 
 def test_dump_json_reads_an_iterator_once_as_a_list():

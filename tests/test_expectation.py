@@ -11,9 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import engine_series, rational_models
 from reference import asymptotic_constants, per_letter_series
 from subseqlab import (
     IIDModel,
@@ -24,6 +25,7 @@ from subseqlab import (
     markov_expectation,
     parse_probability,
 )
+from subseqlab.expectation import Ratio
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
 # every valid binary chain on this grid; (1, 0) has no stationary start
@@ -277,34 +279,12 @@ def test_series_accessors():
     series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 3)
     assert series.value_at(1) == Fraction(1)
     assert series.final() == Fraction(19, 4)
+    assert type(series.value_at(2)) is type(series.final()) is Fraction
     assert series.values == (1, Fraction(5, 2), Fraction(19, 4))
     with pytest.raises(IndexError):
         series.value_at(0)
     with pytest.raises(IndexError):
         series.value_at(4)
-
-
-@st.composite
-def rational_models(draw):
-    """IID models with d = 1..4 letters, denominators up to 10 and zero
-    probabilities allowed, or binary chains with alpha, beta in {k/10}."""
-    if draw(st.booleans()):
-        d = draw(st.integers(1, 4))
-        q = draw(st.integers(1, 10))
-        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=d - 1, max_size=d - 1)))
-        edges = [0] + cuts + [q]
-        return IIDModel(tuple(Fraction(hi - lo, q) for lo, hi in zip(edges, edges[1:])))
-    tenths = st.integers(0, 10).map(lambda k: Fraction(k, 10))
-    alpha, beta = draw(
-        st.tuples(tenths, tenths).filter(lambda ab: ab != (Fraction(1), Fraction(0)))
-    )
-    return MarkovModel(alpha, beta)
-
-
-def engine_series(model, n):
-    if isinstance(model, IIDModel):
-        return iid_matrix_expectation(model, n)
-    return markov_expectation(model, n)
 
 
 @given(rational_models(), st.integers(1, 8))
@@ -481,6 +461,43 @@ def test_zero_probability_letters_change_no_row(exact):
     for probs in ("0.5,0.5,0,0,0", "0,0.5,0,0.5"):
         series = iid_matrix_expectation(iid_from_text(probs, exact), 2000)
         assert same_rows(series, (coin.values, coin.log_rows))
+
+
+# 2**107 - 1, a 33-digit prime: a denominator holding it must reduce with
+# no search for the primes of q.
+MERSENNE_107 = 2**107 - 1
+
+
+@st.composite
+def repeated_prime_models(draw):
+    """Exact IID models (one to four letters) or binary chains whose common
+    denominator q holds a repeated prime (4, 8, 9, 12, 1000), a 33-digit
+    prime, or both."""
+    q = draw(st.sampled_from([4, 8, 9, 12, 1000, MERSENNE_107, 12 * MERSENNE_107]))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=d - 1, max_size=d - 1)))
+        edges = [0] + cuts + [q]
+        return IIDModel(tuple(Fraction(hi - lo, q) for lo, hi in zip(edges, edges[1:])))
+    share = st.integers(0, q).map(lambda k: Fraction(k, q))
+    alpha, beta = draw(st.tuples(share, share).filter(lambda ab: ab != (1, 0)))
+    return MarkovModel(alpha, beta)
+
+
+@given(repeated_prime_models(), st.integers(1, 150))
+@settings(max_examples=60, deadline=None)
+@example(IIDModel((Fraction(1, MERSENNE_107), 1 - Fraction(1, MERSENNE_107))), 300)
+@example(MarkovModel(Fraction(1, 12), Fraction(5, 12 * MERSENNE_107)), 300)
+@example(IIDModel((Fraction(1, 12), Fraction(5, 12), Fraction(1, 2))), 200)
+def test_exact_rows_leave_the_engine_as_reduced_pairs(model, n):
+    """Row i is a Ratio whose numerator and denominator are those of
+    ``Fraction(total, q0 * q**i)``, recomputed with one row per letter."""
+    rows = engine_series(model, n).rows
+    want, _ = per_letter_series(model, n)
+    assert all(type(r) is Ratio for r in rows)
+    assert [(r.numerator, r.denominator) for r in rows] == [
+        (f.numerator, f.denominator) for f in want
+    ]
 
 
 # Inputs each check of the model and engine layers refuses, with the

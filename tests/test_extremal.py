@@ -12,7 +12,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import engine_series, rational_models
 from reference import dbonacci
 from subseqlab import (
     Alphabet,
@@ -68,3 +71,12 @@ def test_cyclic_string_has_the_most_subsequences(d, max_n):
         assert max(count_distinct(LetterString(alphabet, s)) for s in strings) == ceiling
         cyclic = LetterString(alphabet, tuple(i % d for i in range(n)))
         assert count_distinct(cyclic) == ceiling
+
+
+@given(rational_models(), st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_mean_stays_below_the_cyclic_count(model, n):
+    """A mean cannot exceed the maximum: every exact row E[phi_i] is at most
+    the cyclic d-ary string's count, ``nu_1 + ... + nu_i``."""
+    ceiling = itertools.accumulate(dbonacci(model.d, n))
+    assert all(mean <= top for mean, top in zip(engine_series(model, n).values, ceiling))
