@@ -47,8 +47,10 @@ def _reduced(num: int, den: int, base: int) -> Ratio:
 
     Each pass takes ``g = gcd(base, num, den)``, one pass over each big
     number by a small one, and strips g, g**2, g**4, ... from both while
-    the power divides them; the passes end when g is 1. No prime of
-    ``base`` is ever found, so a large prime in it costs nothing extra.
+    the power divides them; the passes end when g is 1. The ladder keeps
+    the passes logarithmic where q cancels many times: a deterministic
+    chain's row i is ``i * q**i / q**i``. No prime of ``base`` is ever
+    found, so a large prime in it costs nothing extra.
     """
     while (g := math.gcd(base, num, den)) > 1:
         power = g

@@ -5,9 +5,9 @@ explicitly (as bitsets, one per length), expectations sum over every
 possible string in exact arithmetic, and structural identities are checked
 row by row. One depth-first walk over the prefix tree, with integer path
 weights, serves both the tree rows (handed out in runs, or joined into a
-plain tuple) and the exhaustive expectations. Size guards keep the
-exponential enumerations inside a sane budget and raise
-:class:`SizeGuardError` beyond it.
+plain tuple) and the exhaustive expectations, which add up each string's
+count times its weight. Size guards keep the exponential enumerations
+inside a sane budget and raise :class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
@@ -96,13 +96,14 @@ def _walk(start, steps, n: int, visit) -> None:
     after ``prev``; a string weighs the product along it, and a zero-weight
     prefix is pruned with its whole subtree. Children are visited in
     decreasing letter order, and each string reports
-    ``visit(length, nu, weight)`` with ``nu`` the new-subsequence count of
-    its last letter. The walk runs the counter's -1-convention recurrence in
-    place: ``base[c]`` holds the running total just before c's last
-    occurrence on the current path, and descending into a child overwrites
-    that one slot and puts it back on the way up, so every string costs one
-    recurrence step. The guard bounds the depth too, which keeps one-letter
-    walks off the recursion limit.
+    ``visit(length, nu, before, weight)``: ``nu`` is the new-subsequence
+    count of its last letter and ``before`` the count of the string without
+    it, so the string itself counts ``before + nu``. The walk runs the
+    counter's -1-convention recurrence in place: ``base[c]`` holds the
+    running total just before c's last occurrence on the current path, and
+    descending into a child overwrites that one slot and puts it back on
+    the way up, so every string costs one recurrence step. The guard bounds
+    the depth too, which keeps one-letter walks off the recursion limit.
     """
     d = len(start)
     _guard_power(max(d, 2), n, "strings")
@@ -115,7 +116,7 @@ def _walk(start, steps, n: int, visit) -> None:
             if w:
                 b = base[c]
                 nu = total - b
-                visit(depth, nu, w)
+                visit(depth, nu, total, w)
                 if depth < n:
                     base[c] = total
                     down(depth + 1, steps[c], w, total + nu)
@@ -142,7 +143,7 @@ def _row_runs(d: int, n: int, emit) -> None:
     _guard_power(max(d, 2), n, "strings")  # before the d-entry weight table is built
     run = []
 
-    def keep(depth: int, nu: int, _w: int) -> None:
+    def keep(depth: int, nu: int, _before: int, _w: int) -> None:
         if depth == n:
             run.append(nu)
             if len(run) == ROW_SLICE:
@@ -175,13 +176,13 @@ def exhaustive_expectation(model, n: int) -> ExpectationSeries:
     """Exact ``E[count(S_i)]`` for i = 1..n by enumerating every string.
 
     Sums ``phi(T) * Pr[T]`` over all strings T of each length with one
-    depth-first walk that adds up per-length new weight. The model's
-    probabilities are scaled by their common denominator q, so path weights
-    are the integers ``q**i * Pr[T]`` and each length is divided by
-    ``q**i`` once. The letter weights are the model's ``letter_rows()``: a
-    first letter weighs ``rows[0]`` and a letter after c weighs
-    ``rows[after[c]]``. Zero-probability branches are pruned, so degenerate
-    models cost only their support.
+    depth-first walk, each string adding its own count times its weight.
+    The model's probabilities are scaled by their common denominator q, so
+    path weights are the integers ``q**i * Pr[T]`` and each length's sum is
+    divided by ``q**i`` once. The letter weights are the model's
+    ``letter_rows()``: a first letter weighs ``rows[0]`` and a letter after
+    c weighs ``rows[after[c]]``. Zero-probability branches are pruned, so
+    degenerate models cost only their support.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -202,18 +203,14 @@ def _exhaustive_expectation_cached(model, n: int) -> ExpectationSeries:
     rows, after = model.letter_rows()
     q = lcm(*(Fraction(p).denominator for row in rows for p in row))
     weights = [tuple(int(p * q) for p in row) for row in rows]
-    new_weight = [0] * (n + 1)
+    sums = [0] * (n + 1)  # sums[i] = q**i * E[count(S_i)]
 
-    def add(depth: int, nu: int, w: int) -> None:
-        new_weight[depth] += nu * w
+    def add(depth: int, nu: int, before: int, w: int) -> None:
+        sums[depth] += (before + nu) * w
 
     _walk(weights[0], [weights[r] for r in after], n, add)
-    values = []
-    acc = 0  # q**i * E[count(S_i)]
-    for i in range(1, n + 1):
-        acc = acc * q + new_weight[i]
-        values.append(Fraction(acc, q**i))
-    return ExpectationSeries(tuple(values), mode="exact")
+    values = tuple(Fraction(sums[i], q**i) for i in range(1, n + 1))
+    return ExpectationSeries(values, mode="exact")
 
 
 def check_pair_structure(n: int) -> bool:

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from subseqlab import oracle
+
 
 def asymptotic_constants(alpha) -> tuple[float, float]:
     """Growth base and prefactor: ``E[count] ~ prefactor * base**n``.
@@ -84,3 +86,22 @@ def dbonacci(d: int, n: int) -> tuple[int, ...]:
         window = window[1:] + [sum(window)]
         terms.append(window[-1])
     return tuple(terms)
+
+
+def exhaustive_moments(model, n: int) -> tuple[Fraction, Fraction]:
+    """``(E[phi_n], E[phi_n**2])`` for an exact model, from one walk of the
+    oracle over every length-n string: each adds its count ``before + nu``
+    and that count squared, times its integer weight ``q**n * Pr[T]``."""
+    rows, after = model.letter_rows()
+    q = math.lcm(*(Fraction(p).denominator for row in rows for p in row))
+    weights = [tuple(int(p * q) for p in row) for row in rows]
+    sums = [0, 0]
+
+    def add(depth: int, nu: int, before: int, w: int) -> None:
+        if depth == n:
+            phi = before + nu
+            sums[0] += phi * w
+            sums[1] += phi * phi * w
+
+    oracle._walk(weights[0], [weights[r] for r in after], n, add)
+    return Fraction(sums[0], q**n), Fraction(sums[1], q**n)

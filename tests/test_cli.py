@@ -604,9 +604,16 @@ def test_solve_balance_below_minimum(capsys):
 
 
 def test_verify_suites_pass(capsys):
+    """Six suites, each PASS, in this order, then the verdict: the benchmark's
+    check of verify's output counts exactly six PASS lines."""
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
     assert code == 0
-    assert "all suites passed" in out
+    *suites, verdict = out.splitlines()
+    assert verdict == "all suites passed"
+    assert [line.split()[:2] for line in suites] == [
+        [name, "PASS"]
+        for name in ("counting", "rows", "pair-structure", "fekete", "engines", "superpattern")
+    ]
 
 
 def test_workers_must_be_positive(capsys):

@@ -25,6 +25,7 @@ from subseqlab import (
     markov_expectation,
     parse_probability,
 )
+from subseqlab import expectation
 from subseqlab.expectation import Ratio
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
@@ -489,6 +490,10 @@ def repeated_prime_models(draw):
 @example(IIDModel((Fraction(1, MERSENNE_107), 1 - Fraction(1, MERSENNE_107))), 300)
 @example(MarkovModel(Fraction(1, 12), Fraction(5, 12 * MERSENNE_107)), 300)
 @example(IIDModel((Fraction(1, 12), Fraction(5, 12), Fraction(1, 2))), 200)
+# deterministic chains: row i is i * q**i / q**i, so q cancels i times
+@example(MarkovModel(Fraction(1, 2), 0), 300)
+@example(MarkovModel(1, Fraction(1, 2)), 300)
+@example(MarkovModel(Fraction(3, 10), 0), 300)
 def test_exact_rows_leave_the_engine_as_reduced_pairs(model, n):
     """Row i is a Ratio whose numerator and denominator are those of
     ``Fraction(total, q0 * q**i)``, recomputed with one row per letter."""
@@ -498,6 +503,34 @@ def test_exact_rows_leave_the_engine_as_reduced_pairs(model, n):
     assert [(r.numerator, r.denominator) for r in rows] == [
         (f.numerator, f.denominator) for f in want
     ]
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(MarkovModel(Fraction(1, 2), 0), id="1/2,0"),
+    pytest.param(MarkovModel(1, Fraction(1, 2)), id="1,1/2"),
+    pytest.param(MarkovModel(Fraction(3, 10), 0), id="3/10,0"),
+])
+def test_reduction_takes_logarithmic_passes(model, monkeypatch):
+    """A deterministic chain's row i is ``i * q**i / q**i``: q cancels i
+    times, so dividing by one g per pass would take i passes a row (6 s
+    for 1/2,0 at n = 3000). Stripping g, g**2, g**4, ... keeps the gcd
+    passes per row within twice the bit length of n."""
+    n = 3000
+    calls = 0
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *args):
+            nonlocal calls
+            calls += 1
+            return math.gcd(*args)
+
+    monkeypatch.setattr(expectation, "math", CountingMath())
+    rows = markov_expectation(model, n).rows
+    assert [(r.numerator, r.denominator) for r in rows] == [(i, 1) for i in range(1, n + 1)]
+    assert n <= calls <= 2 * n.bit_length() * n
 
 
 # Inputs each check of the model and engine layers refuses, with the

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import asymptotic_constants
+from reference import asymptotic_constants, exhaustive_moments
 from subseqlab import (
     Alphabet,
     IIDModel,
@@ -23,6 +23,7 @@ from subseqlab import (
     MarkovModel,
     closed_form_binary,
     estimate_expected_count,
+    exhaustive_expectation,
     fit_growth_rate,
     iid_matrix_expectation,
     sample_string,
@@ -339,6 +340,29 @@ def test_estimate_calibration_across_seeds():
         if abs(record.mean - truth) <= 4 * record.stderr:
             hits += 1
     assert hits >= 19
+
+
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (IIDModel.binary(Fraction(1, 2)), 12),
+        (MarkovModel(Fraction(7, 10), Fraction(3, 10)), 12),
+        (IIDModel((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))), 9),
+    ],
+    ids=["fair-bits", "chain", "iid-d3"],
+)
+def test_stderr_is_the_exact_deviation_over_root_trials(model, n):
+    """The sample's standard error lies within 3 % of the exact standard
+    deviation over sqrt(trials), from the oracle's E[phi] and E[phi**2]. The
+    4-sigma coverage checks above still pass with a stderr twice too large;
+    this one does not."""
+    mean, square = exhaustive_moments(model, n)
+    assert mean == exhaustive_expectation(model, n).values[-1]
+    trials = 20_000
+    record = estimate_expected_count(model, n, trials, seed=0)
+    assert not record.log_space
+    exact = math.sqrt(square - mean * mean) / math.sqrt(trials)
+    assert abs(record.stderr / exact - 1) <= 0.03
 
 
 def test_log_space_calibration_across_seeds():

@@ -154,9 +154,9 @@ def visits(monkeypatch):
     walk = oracle._walk
 
     def counted(start, steps, n, visit):
-        def counting(depth, nu, w):
+        def counting(depth, nu, before, w):
             calls[0] += 1
-            visit(depth, nu, w)
+            visit(depth, nu, before, w)
 
         walk(start, steps, n, counting)
 
@@ -194,6 +194,33 @@ def test_tree_row_is_the_counter_on_every_string():
             strings = itertools.product(range(d - 1, -1, -1), repeat=n)
             expected = tuple(new_subseq_counts(LetterString(alphabet, s))[-1] for s in strings)
             assert tree_row(d, n) == expected, (d, n)
+
+
+def test_walk_reports_each_strings_count_before_its_last_letter():
+    """With unit weights the walk visits every string of length 1..n in
+    preorder, children in decreasing letter order. Each visit's ``before``
+    is the count of the string without its last letter (0 for the empty
+    prefix), and ``before + nu`` is the string's own count."""
+
+    def preorder(prefix, d, n):
+        for c in range(d - 1, -1, -1):
+            s = prefix + (c,)
+            yield s
+            if len(s) < n:
+                yield from preorder(s, d, n)
+
+    for d in (1, 2, 3):
+        alphabet = Alphabet(d)
+        for n in range(1, 7):
+            seen = []
+            ones = (1,) * d
+            oracle._walk(ones, (ones,) * d, n, lambda *visit: seen.append(visit))
+            strings = list(preorder((), d, n))
+            assert len(seen) == len(strings), (d, n)
+            for s, (depth, nu, before, w) in zip(strings, seen):
+                assert (depth, w) == (len(s), 1)
+                assert before == count_distinct(LetterString(alphabet, s[:-1])), s
+                assert before + nu == count_distinct(LetterString(alphabet, s)), s
 
 
 def test_tree_row_sums_are_expectation_increments():
