@@ -6,8 +6,10 @@ or JSON with --out json; solve prints JSON; verify and tree-row print
 plain text. Only the samplers (simulate, and superpattern with a model)
 load numpy. Exit codes: 0 success, 1 invalid input, failed verification
 or a stdout reader that closed early (the output stops, with nothing on
-stderr), 2 exhaustive size-guard violation. The default master seed comes
-from the SUBSEQLAB_SEED environment variable (0 when unset).
+stderr), 2 a size guard: the oracle's exhaustive guard, or the exact
+engine's budget (``expectation.EXACT_GUARD``), checked before either runs.
+The default master seed comes from the SUBSEQLAB_SEED environment variable
+(0 when unset).
 """
 
 from __future__ import annotations
@@ -588,8 +590,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # from _write: stdout's reader left early
         return 1
-    except RuntimeError as exc:  # the oracle's SizeGuardError, bound if the oracle ran
-        if not isinstance(exc, globals().get("SizeGuardError", ())):
+    except RuntimeError as exc:  # a SizeGuardError, whose module loaded if it was raised
+        guards = sys.modules.get(f"{__package__}.expectation")
+        if not isinstance(exc, getattr(guards, "SizeGuardError", ())):
             raise
         print(f"size guard: {exc}", file=sys.stderr)
         return 2

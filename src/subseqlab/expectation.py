@@ -10,8 +10,9 @@ When the model carries Fractions it runs exactly, on integer numerators at
 scale q0 * q**i (q0 and q the common denominators of the start and the
 steps), and hands each row out as a reduced integer pair, cancelled only by
 the primes of q0 * q; otherwise it runs in floats, where a row past the
-float64 range holds ln(E). The paper's closed form for IID binary strings
-stays here as a test reference.
+float64 range holds ln(E). An exact run predicts its cost before its
+first step and raises :class:`SizeGuardError` over ``EXACT_GUARD``. The
+paper's closed form for IID binary strings stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ __all__ = [
     "iid_matrix_expectation",
     "markov_expectation",
 ]
+
+# Predicted cost an exact run may reach: the squared digits of its rows,
+# summed. Printing a row costs about its digits squared, since CPython's
+# int-to-str is quadratic.
+EXACT_GUARD = 4 * 10**10
+
+
+class SizeGuardError(RuntimeError):
+    """A computation would exceed its size guard: the oracle's exhaustive
+    guard, or the exact engine's budget. :mod:`subseqlab.oracle` exports it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +146,12 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     denominators, so after i letters ``acc`` and ``total`` are ints at scale
     ``q0 * q**i``, and row i is ``total / (q0 * q**i)`` as a :class:`Ratio`
     that :func:`_reduced` cancels with the primes of ``q0 * q``, the only
-    ones the scale holds. Floats run the same loop with q = q0 = 1 and are
-    kept at scale 2**-k (divided by 2**600, which is exact, once ``total``
-    passes it); a row whose ``2**k * total`` overflows holds its ln.
+    ones the scale holds. Row i has about ``log10(q0 * q**i)`` digits a
+    side, so the rows cost about ``n * D**2 / 3`` squared digits, D being
+    the last row's; over ``EXACT_GUARD`` the run stops before it starts.
+    Floats run the same loop with q = q0 = 1 and are kept at scale 2**-k
+    (divided by 2**600, which is exact, once ``total`` passes it); a row
+    whose ``2**k * total`` overflows holds its ln.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -153,6 +167,13 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
         q = math.lcm(*(Fraction(p).denominator for step in steps for row in step for p in row))
         start = [int(p * q0) for p in start]
         steps = [[[int(p * q) for p in row] for row in step] for step in steps]
+        rows = min(n, EXACT_GUARD)  # spares a huge n a float overflow; q > 1 is over long before
+        digits = math.log10(q0) + rows * math.log10(q)
+        if (cost := rows * digits * digits / 3) > EXACT_GUARD:
+            raise SizeGuardError(
+                f"exact rows to n={n} reach {digits:.3g} digits: a predicted cost of "
+                f"{cost:.3g} squared digits, over the exact guard of {EXACT_GUARD:.3g}"
+            )
     letters, states = range(len(steps)), range(len(start))
     # column-major, so each entry of a row-vector product is one sum(map(mul))
     laws = [

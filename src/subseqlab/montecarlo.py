@@ -14,9 +14,9 @@ trial) at a time: the counting recurrence of
 :func:`subseqlab.strings.count_distinct` run across rows, or the greedy
 rounds of the superpattern statistic. :func:`sample_string` is the 1-row
 case of the same sampler. Every letter comes from one inverse-CDF rule over
-the model's ``letter_rows()``, so the sampler needs no case per model:
-independent letters are drawn a slab at a time, chain letters a column at
-a time.
+the model's ``letter_rows()``, run on each slab once per row, so the
+sampler needs no case per model: a chain only picks, column by column,
+each string's letter from the row it is in.
 
 Counts are exact integers per trial: int64 while every count of a block
 stays below 2**62, Python ints after. Once any count exceeds 2**53 a
@@ -85,33 +85,32 @@ def _slabs(model, rows: int, n: int, rng: np.random.Generator):
     """Letters of ``rows`` strings of length n drawn from one stream, as
     ``(rows, w)`` integer slabs from left to right, ``w = CELLS // rows``.
 
-    Each letter is the inverse CDF of its law at one uniform u:
-    ``min(#(cum <= u), d - 1)`` with ``cum`` the running sums of the row
-    :meth:`letter_rows` gives it. A model with one row has independent
-    letters, drawn a slab at a time; otherwise a slab is drawn a column at a
-    time, each string moving to row ``after[c]`` after letter c, and the
-    rows reached carry into the next slab. Only one slab is held at a time,
-    so a block of trials never holds its whole ``(rows, n)`` letter matrix.
+    Each letter is the inverse CDF of its law at one uniform u: how many
+    running sums of its :meth:`letter_rows` row, the last (1) left out, are
+    at most u, so never more than d - 1. One ``searchsorted`` per row
+    answers a whole slab. A one-row model's letters are independent, so
+    that answer is the slab; a chain walks it column by column, each string
+    taking letter c from the row it is in and moving to row ``after[c]``.
+    The rows reached carry into the next slab, and as only one slab is held
+    at a time, a block never holds its whole ``(rows, n)`` letter matrix.
     """
     import numpy as np
 
     table, after = model.letter_rows()
-    cum = np.array(table, dtype=np.float64).cumsum(axis=1)
+    cuts = np.array(table, dtype=np.float64).cumsum(axis=1)[:, :-1]
     after = np.array(after, dtype=np.intp)
-    top = model.d - 1
     state = np.zeros(rows, dtype=np.intp)  # every string starts at row 0
     width = max(1, CELLS // rows)
     for lo in range(0, n, width):
         u = rng.random((rows, min(width, n - lo)))
-        if len(table) == 1:
-            letters = np.searchsorted(cum[0], u, side="right")
-            np.minimum(letters, top, out=letters)
-        else:
-            letters = np.empty(u.shape, dtype=np.intp)
+        # one answer per row; indexing cuts is cheaper than iterating it
+        cand = [np.searchsorted(cuts[r], u, side="right") for r in range(len(cuts))]
+        if len(cand) > 1:
+            cand, ar = np.stack(cand), np.arange(rows)
             for j in range(u.shape[1]):
-                letters[:, j] = c = np.minimum((cum[state] <= u[:, j, None]).sum(axis=1), top)
+                cand[0, :, j] = c = cand[state, ar, j]
                 state = after[c]
-        yield letters
+        yield cand[0]
 
 
 def _sample_letters(model, n: int, rng: np.random.Generator) -> list[int]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .expectation import ExpectationSeries
+from .expectation import ExpectationSeries, SizeGuardError
 from .strings import LetterString
 
 __all__ = [
@@ -32,10 +32,6 @@ __all__ = [
 
 EXHAUSTIVE_GUARD = 2**20
 ROW_SLICE = 4096  # tree-row entries per run, so a streamed row is never held whole
-
-
-class SizeGuardError(RuntimeError):
-    """An exhaustive computation would exceed the configured size guard."""
 
 
 def _guard_power(d: int, n: int, counted: str) -> None:

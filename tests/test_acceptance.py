@@ -99,7 +99,7 @@ def test_c03_closed_form():
     return f"9 alphas x 12 lengths, worst rel err {worst:.1e}"
 
 
-@criterion(4, "one-step matrix engine: exact small-n, float large-n")
+@criterion(4, "engine equals the oracle on IID letters: exact small-n, float large-n")
 def test_c04_iid_matrix_engine():
     models = [
         IIDModel.uniform(2),
@@ -124,7 +124,7 @@ def test_c04_iid_matrix_engine():
     return f"{len(models)} exact models to n=8, float drift {worst:.1e} to n=40"
 
 
-@criterion(5, "four-state chain engine equals the oracle, reduces on the diagonal")
+@criterion(5, "engine equals the oracle on two-state chains, reduces on the diagonal")
 def test_c05_markov_engine():
     grid = (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10))
     for alpha, beta in itertools.product(grid, repeat=2):

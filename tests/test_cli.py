@@ -326,14 +326,27 @@ def test_tree_row_size_guard_exit_code(capsys):
     assert run_cli(capsys, "tree-row", "--d", "99999999999", "--n", "0") == (0, "0\n", "")
 
 
+def test_exact_budget_exit_code(capsys):
+    """An exact run over the engine's budget exits 2 before its first row,
+    though expect binds neither the oracle nor its SizeGuardError."""
+    for n, digits, cost in (("200", "6.4e+04", "2.73e+11"), ("1000", "3.2e+05", "3.41e+13")):
+        argv = ("expect", "--engine", "closed", "--alpha", "1e-320", "--exact", "--n", n)
+        assert run_cli(capsys, *argv) == (2, "", (
+            f"size guard: exact rows to n={n} reach {digits} digits: a predicted cost of "
+            f"{cost} squared digits, over the exact guard of 4e+10\n"))
+
+
 @pytest.mark.parametrize(
     "argv,name",
-    [(("count", "01"), "new_subseq_counts"), (("verify", "--max-n", "2"), "tree_row")],
-    ids=["count", "verify"],
+    [(("count", "01"), "new_subseq_counts"), (("verify", "--max-n", "2"), "tree_row"),
+     (("expect", "--engine", "closed", "--alpha", "1/2", "--exact", "--n", "2"),
+      "iid_matrix_expectation")],
+    ids=["count", "verify", "expect"],
 )
 def test_a_runtime_error_that_is_no_size_guard_propagates(monkeypatch, argv, name):
-    """Only the oracle's SizeGuardError becomes exit 2, also once verify has
-    bound the oracle; any other RuntimeError keeps its traceback."""
+    """Only a SizeGuardError becomes exit 2, also once verify has bound the
+    oracle or expect has loaded the engine that raises it; any other
+    RuntimeError keeps its traceback."""
 
     def broken(*args):
         raise RuntimeError("not a size guard")

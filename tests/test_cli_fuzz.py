@@ -8,17 +8,15 @@ stderr, and a run that exits 0 prints no inf or nan.
 
 Sizes stay small so the whole run takes a few seconds: ``verify --max-n``
 at most 5, ``tree-row --n`` at most 8, ``--trials`` at most 5 and ``--n``
-at most 200. ``--exact`` runs whose probabilities have a denominator above
-2**64 are held to n <= 20: the exact engine has no budget yet, and the
-size of its rows grows as n**2 times the digits of that denominator, so
-``expect --engine closed --alpha 1e-320 --exact --n 200`` alone takes
-about 15 s and n=1000 about half an hour. ``-h`` is never drawn,
-since argparse's help exits the interpreter by design.
+at most 1000. ``--exact`` runs draw from the same lengths whatever their
+denominators: the exact engine's budget refuses, with exit 2, a run such
+as ``expect --engine closed --alpha 1e-320 --exact --n 1000`` that would
+take about half an hour. ``-h`` is never drawn, since argparse's help
+exits the interpreter by design.
 """
 
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -34,8 +32,7 @@ HOSTILE = ["nan", "inf", "-inf", "1/0", "1e-320", "-0", "", "-1", "-7", "-" + HU
 ALPHAS = ["0", "1", "0.5", "1/3", "0.7", "3/10", "1e-320", "0.333333333333333333333"]
 PROBS = ["0.2,0.3,0.5", "1/3,1/3,1/3", "1/2,1/2", "1", "0,1", "1e-320,1", "0.1,0.2,0.3,0.4"]
 CHAINS = ["0.7,0.3", "0,1", "1,0", "1/2,1/3", "1,1", "1e-320,0.5", "0.333333333333333333333,1"]
-LENGTHS = ["0", "1", "2", "3", "7", "20", "64", "200"]
-SMALL_LENGTHS = ["0", "1", "2", "3", "7", "20"]
+LENGTHS = ["0", "1", "2", "3", "7", "20", "64", "200", "1000"]
 TRIALS = ["1", "2", "3", "5", "5", "5"]
 SEEDS = ["0", "7", str(2**64 - 1), str(2**64), HUGE]
 WORKERS = ["1", "1", "2", HUGE]  # 5 trials fill one block, so no pool starts
@@ -43,13 +40,6 @@ STRINGS = ["010", "0110", "", "2,1,0", "0,10,3", "9" * 30, "01" * 100] * 2 + ["1
 ALPHABETS = ["1", "2", "3", "11", HUGE]
 GRIDS = ["0:3", "1:200:50", "2:8:3", "1:5", "3:5"] * 2 + ["5:1", "0:10:0", "1:2:3:4", "a:b"]
 OUTS = ["csv", "json"] * 5 + ["xml"]
-
-
-def _denominator(token: str) -> int:
-    try:
-        return Fraction(token).denominator
-    except (ValueError, ZeroDivisionError):
-        return 1
 
 
 def _pick(rng, pool):
@@ -94,14 +84,9 @@ def _expect(rng, tmp_path):
     engine = rng.choice(["closed", "matrix", "markov"])
     if rng.random() < 0.95:
         argv += ["--engine", engine if rng.random() < 0.95 else "bogus"]
-    model = _model_flags(rng, cli._TAKES[engine])
-    argv += model
-    exact = rng.random() < 0.5
-    huge_denominator = any(
-        _denominator(tok) > 2**64 for value in model[1::2] for tok in value.split(",")
-    )
-    _maybe(rng, argv, "--n", SMALL_LENGTHS if exact and huge_denominator else LENGTHS, 0.95)
-    if exact:
+    argv += _model_flags(rng, cli._TAKES[engine])
+    _maybe(rng, argv, "--n", LENGTHS, 0.95)
+    if rng.random() < 0.5:
         argv.append("--exact")
     _maybe(rng, argv, "--out", OUTS, 0.4)
     return argv

@@ -19,6 +19,7 @@ from reference import asymptotic_constants, per_letter_series
 from subseqlab import (
     IIDModel,
     MarkovModel,
+    SizeGuardError,
     closed_form_binary,
     exhaustive_expectation,
     iid_matrix_expectation,
@@ -376,6 +377,26 @@ def test_exact_series_past_the_float_range_stay_rational():
     series = iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 1800)
     assert series.log_rows == 0
     assert series.final() == 2 * Fraction(3, 2) ** 1800 - 2
+
+
+def test_exact_budget_is_checked_before_the_first_step(monkeypatch):
+    """An exact run predicts ``n * D**2 / 3`` squared digits, D the digits
+    of its last row's scale, and stops over ``EXACT_GUARD`` before any
+    step: with q = 10 and q0 = 1, n = 30 predicts 9000 and n = 31 about
+    9930, and n = 10**400 is refused at once rather than run or overflowed."""
+    ten = IIDModel.uniform(10)
+    monkeypatch.setattr(expectation, "EXACT_GUARD", 9000)
+    assert len(iid_matrix_expectation(ten, 30)) == 30
+    text = ("exact rows to n=31 reach 31 digits: a predicted cost of 9.93e+03 "
+            "squared digits, over the exact guard of 9e+03")
+    with pytest.raises(SizeGuardError, match=f"^{re.escape(text)}$"):
+        iid_matrix_expectation(ten, 31)
+    with pytest.raises(SizeGuardError):
+        markov_expectation(MarkovModel(Fraction(7, 10), Fraction(3, 10)), 31)
+    monkeypatch.undo()
+    with pytest.raises(SizeGuardError, match="^exact rows to n=1000+ reach "):
+        iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 10**400)
+    assert iid_matrix_expectation(ten.as_floats(), 31).mode == "float"  # floats have no budget
 
 
 def _perfbench_checks():

@@ -239,17 +239,21 @@ def test_chain_slabs_match_the_letter_by_letter_rule(monkeypatch, alpha, beta):
     """The sampled chain equals the letter-by-letter rule, on uniforms that
     include the thresholds 1 - alpha, 1 - beta and 1 - gamma themselves,
     with slabs that end mid-string so each string carries its state across
-    three of them."""
+    three of them: for a block of 30 strings, and for the one string
+    :func:`sample_string` draws."""
     model = MarkovModel(alpha, beta)
-    rng = np.random.default_rng(5)
-    u = rng.random((30, 50))
-    planted = rng.random(u.shape) < 0.3
     edges = [1 - float(alpha), 1 - float(beta), 1 - float(model.gamma)]
-    u[planted] = rng.choice(edges, planted.sum())
-    monkeypatch.setattr(montecarlo, "CELLS", 30 * 17)
-    slabs = list(_slabs(model, 30, 50, Planted(u)))
-    assert [slab.shape[1] for slab in slabs] == [17, 17, 16]
-    assert np.concatenate(slabs, axis=1).tolist() == chain_reference(u, model)
+    matches = {}
+    for rows in (30, 1):
+        rng = np.random.default_rng(5)
+        u = rng.random((rows, 50))
+        planted = rng.random(u.shape) < 0.3
+        u[planted] = rng.choice(edges, planted.sum())
+        monkeypatch.setattr(montecarlo, "CELLS", rows * 17)
+        slabs = list(_slabs(model, rows, 50, Planted(u)))
+        assert [slab.shape[1] for slab in slabs] == [17, 17, 16]
+        matches[rows] = np.concatenate(slabs, axis=1).tolist() == chain_reference(u, model)
+    assert matches == {30: True, 1: True}
 
 
 COUNT_MODELS = [
