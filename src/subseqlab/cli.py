@@ -8,8 +8,6 @@ load numpy. Exit codes: 0 success, 1 invalid input, failed verification
 or a stdout reader that closed early (the output stops, with nothing on
 stderr), 2 a size guard: the oracle's exhaustive guard, or the exact
 engine's budget (``expectation.EXACT_GUARD``), checked before either runs.
-The default master seed comes from the SUBSEQLAB_SEED environment variable
-(0 when unset).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import errno
 import os
 import sys
 
-ENV_SEED = "SUBSEQLAB_SEED"
 _TAKES = {"closed": ("alpha",), "matrix": ("alpha", "probs"), "markov": ("markov",),
           "iid": ("alpha", "probs")}  # the model flags each --engine or --model value takes
 _SUPER_USAGE = """%(prog)s [-h] [--alphabet ALPHABET]
@@ -74,16 +71,6 @@ def __getattr__(name: str):
             if name in globals():
                 return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return seed
-    raw = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -241,7 +228,6 @@ def cmd_simulate(args) -> int:
 
     _bind("models", "montecarlo", "output")
     model = _parse_model(args, False, _TAKES[args.model], f"--model {args.model}")
-    seed = _resolve_seed(args.seed)
     ns = [args.n] if args.n is not None else _parse_grid(args.grid)
     if args.fit_growth:  # checked before sampling; grid lengths are sorted, distinct, >= 0
         if args.out != "json":
@@ -253,7 +239,7 @@ def cmd_simulate(args) -> int:
                 f"growth fit takes ln of the mean count, so lengths must be at least 1; got {[ns[0]]}"
             )
     records = [
-        estimate_expected_count(model, n, args.trials, seed, workers=args.workers, stream=idx)
+        estimate_expected_count(model, n, args.trials, args.seed, workers=args.workers, stream=idx)
         for idx, n in enumerate(ns)
     ]
     doc = {"model": model.describe(), "rows": [asdict(r) for r in records]}
@@ -422,7 +408,7 @@ def cmd_superpattern(args) -> int:
     if args.n is None:
         raise CliError("experiment mode needs --n (or pass a string)")
     model = _parse_model(args, exact=False)
-    seed = _resolve_seed(args.seed)
+    seed = 0 if args.seed is None else args.seed
     trials = 1000 if args.trials is None else args.trials
     workers = 1 if args.workers is None else args.workers
     record = superpattern_experiment(model, args.n, trials, seed, workers=workers)
@@ -534,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     lengths.add_argument("--n", type=int, help="single string length")
     lengths.add_argument("--grid", help="length grid start:stop[:step]")
     p_sim.add_argument("--trials", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     p_sim.add_argument("--workers", type=_positive_int, default=1)
     p_sim.add_argument("--fit-growth", action="store_true", help="fit the growth constant (JSON output)")
     _add_out_flag(p_sim)
@@ -559,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_super.add_argument("--n", type=int, help="sampled string length (experiment mode)")
     # None marks a flag not given, which string mode rejects
     p_super.add_argument("--trials", type=int, help="sampled strings (default: 1000)")
-    p_super.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
+    p_super.add_argument("--seed", type=int, help="master seed (default: 0)")
     p_super.add_argument("--workers", type=_positive_int, help="worker processes (default: 1)")
     _add_out_flag(p_super)
     p_super.set_defaults(func=cmd_superpattern)

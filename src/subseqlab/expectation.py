@@ -147,8 +147,11 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     ``q0 * q**i``, and row i is ``total / (q0 * q**i)`` as a :class:`Ratio`
     that :func:`_reduced` cancels with the primes of ``q0 * q``, the only
     ones the scale holds. Row i has about ``log10(q0 * q**i)`` digits a
-    side, so the rows cost about ``n * D**2 / 3`` squared digits, D being
-    the last row's; over ``EXACT_GUARD`` the run stops before it starts.
+    side, and its numerator at most ``i * log10(2)`` more, since the count
+    stays below 2**i; priced with ``max(q, 2)`` for q, so that a source
+    with q = 1 is bounded too, the rows cost about ``n * D**2 / 3`` squared
+    digits, D being the last row's, and over ``EXACT_GUARD`` the run stops
+    before it starts.
     Floats run the same loop with q = q0 = 1 and are kept at scale 2**-k
     (divided by 2**600, which is exact, once ``total`` passes it); a row
     whose ``2**k * total`` overflows holds its ln.
@@ -167,8 +170,8 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
         q = math.lcm(*(Fraction(p).denominator for step in steps for row in step for p in row))
         start = [int(p * q0) for p in start]
         steps = [[[int(p * q) for p in row] for row in step] for step in steps]
-        rows = min(n, EXACT_GUARD)  # spares a huge n a float overflow; q > 1 is over long before
-        digits = math.log10(q0) + rows * math.log10(q)
+        rows = min(n, EXACT_GUARD)  # spares a huge n a float overflow; it is over long before
+        digits = math.log10(q0) + rows * math.log10(max(q, 2))
         if (cost := rows * digits * digits / 3) > EXACT_GUARD:
             raise SizeGuardError(
                 f"exact rows to n={n} reach {digits:.3g} digits: a predicted cost of "

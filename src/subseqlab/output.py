@@ -8,9 +8,10 @@ with a mandatory header row and is written as it renders, a chunk of
 rows at a time, so no table is held whole. One recursive writer lays out
 JSON: children one per line, two spaces deeper than their brackets, except
 that a list of scalars stays on one line. Objects keep insertion order, so
-a fixed input yields byte-identical output. An exact rational is a Fraction
-or the expectation engine's reduced pair; the json module loads only for
-JSON output.
+a fixed input yields byte-identical output. An integer is anything with
+``__index__`` (numpy's counts too), an exact rational a Fraction or the
+expectation engine's reduced pair, and any other value raises TypeError;
+the json module loads only for JSON output.
 """
 
 from __future__ import annotations
@@ -26,18 +27,21 @@ CSV_CHUNK = 1 << 14
 
 
 def fmt_scalar(v) -> str:
-    """Canonical text of a scalar: a CSV cell, or a JSON atom before quoting."""
+    """Canonical text of a scalar: a CSV cell, or a JSON atom before quoting.
+    Of the texts of non-strings, only a rational's holds a ``/``."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"cannot print the non-finite number {v!r}")
         return format(float(v), ".17g")
-    if isinstance(v, (int, str)):
-        return str(v)
+    if isinstance(v, str):
+        return v
+    if hasattr(v, "__index__"):  # any integer, numpy's too, though it has a denominator
+        return str(v.__index__())
     if hasattr(v, "denominator"):  # a Fraction, or a pair already in lowest terms
         return f"{v.numerator}/{v.denominator}"
-    return str(v)
+    raise TypeError(f"cannot print {type(v).__name__}")
 
 
 def check_finite(floats) -> None:
@@ -56,13 +60,10 @@ def _quote(text: str) -> str:
 def _atom(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, (bool, int, float)):
-        return fmt_scalar(v)
     if isinstance(v, str):
         return _quote(v)
-    if hasattr(v, "denominator"):  # an exact rational: "p/q" needs no escapes
-        return f'"{fmt_scalar(v)}"'
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    text = fmt_scalar(v)
+    return f'"{text}"' if "/" in text else text  # an exact rational: "p/q" needs no escapes
 
 
 def dump_json(value) -> str:

@@ -39,7 +39,7 @@ from subseqlab import (
     oracle,
 )
 from subseqlab import output
-from subseqlab.cli import ENV_SEED, main
+from subseqlab.cli import main
 from subseqlab.expectation import ExpectationSeries
 from subseqlab.output import dump_json, render_csv
 
@@ -336,6 +336,23 @@ def test_exact_budget_exit_code(capsys):
             f"{cost} squared digits, over the exact guard of 4e+10\n"))
 
 
+def test_exact_budget_bounds_a_source_with_q_one(capsys):
+    """A count stays below 2**i, so a row whose steps need no denominator
+    (q = 1) is still priced at ``i * log10(2)`` digits: the alternating
+    chain and a constant letter exit 2 at n=20000, and the chain runs at
+    n=10000, whose last row has 2,091 digits, under the 3,011 it is priced."""
+    for model in (("markov", "--markov", "0,1"), ("closed", "--alpha", "0")):
+        assert run_cli(capsys, "expect", "--engine", *model, "--exact", "--n", "20000") == (2, "", (
+            "size guard: exact rows to n=20000 reach 6.02e+03 digits: a predicted cost of "
+            "2.42e+11 squared digits, over the exact guard of 4e+10\n"))
+    code, out, err = run_cli(capsys, "expect", "--engine", "markov", "--markov", "0,1",
+                             "--exact", "--n", "10000")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 10001 and lines[-1].startswith("10000,")
+    assert len(lines[-1].partition(",")[2].partition("/")[0]) == 2091
+
+
 @pytest.mark.parametrize(
     "argv,name",
     [(("count", "01"), "new_subseq_counts"), (("verify", "--max-n", "2"), "tree_row"),
@@ -382,16 +399,6 @@ def test_simulate_csv_flags_log_space(capsys):
     code, out, _ = run_cli(capsys, *base, "--n", "10")
     assert code == 0
     assert out.splitlines()[0] == "n,mean,stderr,trials,seed"
-
-
-def test_simulate_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_SEED, "9")
-    code, out, _ = run_cli(
-        capsys, "simulate", "--model", "iid", "--alpha", "0.5",
-        "--n", "8", "--trials", "50",
-    )
-    assert code == 0
-    assert out.splitlines()[1].split(",")[4] == "9"
 
 
 def test_simulate_grid_and_fit_json(capsys):
@@ -1107,15 +1114,6 @@ def test_verify_engines_stop_at_max_n(capsys, monkeypatch):
     assert "engines         PASS  iid d=2/d=3 and markov vs exhaustive, n<=3\n" in out
 
 
-def test_malformed_seed_environment_is_rejected(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_SEED, "abc")
-    code, out, err = run_cli(
-        capsys, "simulate", "--model", "iid", "--alpha", "0.5", "--n", "8", "--trials", "5"
-    )
-    assert (code, out) == (1, "")
-    assert ENV_SEED in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("grid", ["5", "a:b", "5:1", "1:5:0"])
 def test_malformed_grid_is_rejected(capsys, grid):
     code, out, err = run_cli(
@@ -1266,6 +1264,21 @@ def test_dump_json_atoms():
     )
     with pytest.raises(TypeError):
         dump_json({1, 2})
+
+
+def test_each_scalar_type_prints_one_way_in_both_formats():
+    """numpy's integers print as integers, though they have a denominator,
+    and CSV refuses a value that is no scalar, as JSON does."""
+    import numpy as np
+
+    cells = [np.int64(3), np.uint8(7), 10**30, Fraction(6, 4), Fraction(4, 2), False, 0.5]
+    written = []
+    render_csv(["a", "b", "c", "d", "e", "f", "g"], [cells], written.append)
+    assert "".join(written) == f"a,b,c,d,e,f,g\n3,7,{10**30},3/2,2/1,false,0.5\n"
+    assert dump_json(cells) == f'[3, 7, {10**30}, "3/2", "2/1", false, 0.5]\n'
+    for value in (None, [1, 2], {1}, np.float32(1)):
+        with pytest.raises(TypeError):
+            render_csv(["a"], [[value]], written.append)
 
 
 def _as_read_back(v):

@@ -6,7 +6,8 @@ import must be read somewhere in its module, and an import inside a
 function somewhere in that function. ``__init__.py`` re-exports its
 imports, and an import whose lines carry ``noqa`` is kept on purpose.
 Likewise, a module-level function whose name starts with one underscore
-must be read somewhere in the package, by name or as a module attribute.
+must be read somewhere in the package, by name or as a module attribute,
+and no module reads the environment: a run's inputs are its arguments.
 """
 
 import ast
@@ -105,3 +106,38 @@ def test_the_check_finds_a_dead_helper():
 
 def test_every_private_helper_is_read():
     assert dead_helpers([path.read_text() for path in PACKAGE.glob("*.py")]) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` for each read or import of ``os.environ``,
+    ``os.environb`` or ``os.getenv``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name in ENVIRONMENT]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_the_check_finds_an_environment_read():
+    source = (
+        "import os\nfrom os import getenv, path\nfrom os import environb as env\n"
+        "from json import getenv as fine\nenviron = {}\n\n"
+        "def f():\n    return os.environ.get('X', os.path.sep)\n\nos.getenv('Y')\n"
+    )
+    assert environment_reads(source) == [
+        ("getenv", 2), ("environb", 3), ("environ", 8), ("getenv", 10)
+    ]
+
+
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
