@@ -271,7 +271,7 @@ def _verify_counting(max_n: int):
             prefix, levels = stack.pop()
             for c in range(d):
                 letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
-                found = sum(b.bit_count() for b in grown) - 1
+                found = sum(map(int.bit_count, grown)) - 1
                 if count_distinct(LetterString(alphabet, letters)) != found:
                     return False, f"mismatch at {letters}"
                 checked += 1
@@ -370,13 +370,23 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- tree-row
 
 
+_DECIMALS = 1024  # tree-row prints values below this from a table of their texts
+
+
 def cmd_tree_row(args) -> int:
     _bind("oracle")
+    decimals = []  # decimals[v] is str(v), grown on demand up to _DECIMALS entries
     sep = ""
 
     def write(run) -> None:  # each run as it arrives, so the row is never held
         nonlocal sep
-        _write(sep + ",".join(map(str, run)))
+        top = max(run)
+        if top < _DECIMALS:
+            decimals.extend(map(str, range(len(decimals), top + 1)))
+            texts = map(decimals.__getitem__, run)
+        else:
+            texts = map(str, run)
+        _write(sep + ",".join(texts))
         sep = ","
 
     oracle._row_runs(args.d, args.n, write)

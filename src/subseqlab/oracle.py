@@ -3,18 +3,21 @@
 Everything here trades time for transparency: subsequence sets are built
 explicitly (as bitsets, one per length), expectations sum over every
 possible string in exact arithmetic, and structural identities are checked
-row by row. One depth-first walk over the prefix tree, with integer path
-weights, serves both the tree rows (handed out in runs, or joined into a
-plain tuple) and the exhaustive expectations, which add up each string's
-count times its weight. Size guards keep the exponential enumerations
-inside a sane budget and raise :class:`SizeGuardError` beyond it.
+row by row. The exhaustive expectations add up each string's count times
+its weight in one depth-first walk over the prefix tree, with integer path
+weights. The tree rows do not walk it: each row derives from the row above,
+a piece of whole blocks at a time, and is handed out in runs or joined into
+a plain tuple. Size guards keep the exponential enumerations inside a sane
+budget and raise :class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import add
 
 from .expectation import ExpectationSeries, SizeGuardError
 from .strings import LetterString
@@ -31,7 +34,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_GUARD = 2**20
-ROW_SLICE = 4096  # tree-row entries per run, so a streamed row is never held whole
+ROW_SLICE = 2048  # about the tree-row entries per run, so a streamed row is never held whole
 
 
 def _guard_power(d: int, n: int, counted: str) -> None:
@@ -74,19 +77,22 @@ def _extend_levels(levels: list[int], letter: int, d: int) -> list[int]:
     ``levels[k]`` has bit c set when the string holds the length-k
     subsequence whose letters, first letter least significant, read c in
     base d. The empty string's levels are ``[1]``, the empty subsequence
-    alone, and ``sum(b.bit_count() for b in levels) - 1`` counts the
+    alone, and ``sum(map(int.bit_count, levels)) - 1`` counts the
     nonempty subsequences. Appending a letter to a length-k subsequence
     adds ``letter * d**k`` to its code, so each old level, shifted once,
     joins the next.
     """
     grown = levels + [0]
+    shift = letter
     for k, bits in enumerate(levels):
-        grown[k + 1] |= bits << (letter * d**k)
+        grown[k + 1] |= bits << shift
+        shift *= d
     return grown
 
 
 def _walk(start, steps, n: int, visit) -> None:
-    """Depth-first walk over every string of length 1..n with nonzero weight.
+    """Depth-first walk over every string of length 1..n with nonzero weight,
+    for the exhaustive expectations.
 
     ``start[c]`` weighs a first letter c and ``steps[prev][c]`` a letter c
     after ``prev``; a string weighs the product along it, and a zero-weight
@@ -123,33 +129,88 @@ def _walk(start, steps, n: int, visit) -> None:
 
 
 def _row_runs(d: int, n: int, emit) -> None:
-    """Hand ``emit`` row ``n`` of the d-ary tree in order, as tuples of at
-    most ``ROW_SLICE`` consecutive entries, so no caller has to hold the row.
+    """Hand ``emit`` row ``n`` of the d-ary tree in order, as lists of
+    consecutive entries, so no caller has to hold the row.
 
-    Row 0 is the single run ``(0,)``. Otherwise the runs come from the walk
-    with every weight 1, keeping the new counts at depth n.
+    Row 0 is the single run ``[0]``, and row 1 comes in runs of at most
+    ``ROW_SLICE``. Longer rows come from :func:`_row_pieces`, whose pieces
+    hold at most ``ROW_SLICE + d`` entries each.
     """
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if n < 0:
         raise ValueError("row index must be nonnegative")
     if n == 0:
-        emit((0,))
+        emit([0])
         return
-    _guard_power(max(d, 2), n, "strings")  # before the d-entry weight table is built
-    run = []
+    _guard_power(max(d, 2), n, "strings")  # before any d-entry block is built
+    if n == 1:
+        for start in range(0, d, ROW_SLICE):
+            emit([1] * min(ROW_SLICE, d - start))
+        return
+    for piece in _row_pieces(d, n, ROW_SLICE):
+        emit(piece)
+        del piece  # so the next piece is not built while this one is held
 
-    def keep(depth: int, nu: int, _before: int, _w: int) -> None:
-        if depth == n:
-            run.append(nu)
-            if len(run) == ROW_SLICE:
-                emit(tuple(run))
-                run.clear()
 
-    ones = (1,) * d
-    _walk(ones, (ones,) * d, n, keep)
-    if run:
-        emit(tuple(run))
+def _row_pieces(d: int, n: int, size: int):
+    """Row ``n`` >= 1 of the d-ary tree in order, in pieces of whole blocks
+    of at most ``size + d`` entries.
+
+    The block of a string u is the new counts of its d children, listed by
+    letter in decreasing order, so row n is the blocks of the length-(n-1)
+    strings in tree order, and the empty string's block is all ones. The
+    counter's -1-convention recurrence gives the block of u's child at
+    position c from u's block alone: entry c stays, and every other entry
+    gains u's entry c (the rule does not care that position c is letter
+    d-1-c). So row n derives from row n-1 chunk by chunk, each chunk whole
+    blocks of at most ``size // d`` entries (one block if that is less),
+    asked of row n-1's own generator in pieces of that size.
+    """
+    if n == 1:
+        yield [1] * d
+        return
+    gather = max(size // d // d, 1) * d
+    parents = []
+    for piece in _row_pieces(d, n - 1, gather):
+        parents += piece
+        while len(parents) >= gather:
+            yield from _children(parents[:gather], d, size)
+            del parents[:gather]
+    if parents:
+        yield from _children(parents, d, size)
+
+
+def _children(parents: list[int], d: int, size: int):
+    """The blocks of every child of the whole blocks in ``parents``, in order.
+
+    With at least d parent blocks they come as one piece, from d**2 strided
+    slice assignments that each run in C across all the parents: child c's
+    entry e, for every parent at once. With fewer, that would cost more
+    Python steps than the parents have children, so the children are built
+    one block at a time, in pieces of at most ``size + d`` entries.
+    """
+    square = d * d
+    if len(parents) >= square:
+        columns = [parents[e::d] for e in range(d)]
+        out = [0] * (len(parents) * d)
+        for c, kept in enumerate(columns):
+            for e, column in enumerate(columns):
+                out[d * c + e::square] = kept if e == c else map(add, column, kept)
+        yield out
+        return
+    out = []
+    for start in range(0, len(parents), d):
+        block = parents[start:start + d]
+        for c, kept in enumerate(block):
+            child = list(map(add, block, repeat(kept, d)))
+            child[c] = kept
+            out += child
+            if len(out) >= size:
+                yield out
+                out = []
+    if out:
+        yield out
 
 
 def tree_row(d: int, n: int) -> tuple[int, ...]:
@@ -160,8 +221,8 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     decreasing letter order, so the leftmost branch is the all-(d-1) string.
     For binary rows that reads 11..1 first and 00..0 last. Row 0 is the
     empty string with value 0. The row is the concatenation of the runs
-    that ``tree-row`` writes as they arrive: O(d**n) recurrence steps in
-    total.
+    that ``tree-row`` writes as they arrive, each derived from the row
+    above: O(d**n) additions, most of them run in C across whole pieces.
     """
     values = []
     _row_runs(d, n, values.extend)

@@ -9,19 +9,23 @@ Letters are integers ``0..d-1``. Counts are plain Python ints, which are
 arbitrary precision; a length-n binary string can reach ``2**n - 1``
 distinct subsequences, far past any fixed-width integer.
 
-The counting recurrence is written in four forms, each shaped by what its
+The counting recurrence is written in five forms, each shaped by what its
 caller holds. Two live here: the batch kernel :func:`_count_distinct_fast`
 (behind :func:`count_distinct`, one string as a list of letters) and the
 streaming :class:`IncrementalCounter` (behind the per-letter profiles of
 :func:`new_subseq_counts`, one letter at a time). ``montecarlo._count_block``
 runs it on numpy arrays across a block of sampled strings, one letter of
 each per step, since a Python loop per trial would dominate sampling.
-``oracle._walk`` runs it in place on one table during its depth-first
-walk, undoing the one slot each step overwrites when it backs up, so each
-string of the tree costs one step and no state is copied. All four store,
-per letter, the running total just before its last occurrence, with -1
-for a letter not seen yet, so ``nu = total - before_last[c]`` needs no
-branch.
+``oracle._walk`` runs it in place on one table during the exhaustive
+expectations' depth-first walk, undoing the one slot each step overwrites
+when it backs up, so each string costs one step and no state is copied.
+The first four store, per letter, the running total just before its last
+occurrence, with -1 for a letter not seen yet, so
+``nu = total - before_last[c]`` needs no branch. ``oracle._row_pieces``
+builds the contribution tree's rows from what that convention implies for
+a string's block, the new counts of its children: appending c keeps
+entry c and adds it to every other entry. So each row follows from the
+row above, many blocks per slice assignment.
 """
 
 from __future__ import annotations

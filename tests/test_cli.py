@@ -222,8 +222,7 @@ def test_tree_row_output(capsys):
 
 @pytest.mark.parametrize("d,n", [(2, 13), (3, 8)])
 def test_tree_row_streams_the_joined_row(capsys, d, n):
-    """A row of two whole slices, and one whose last slice is partial,
-    prints as one join."""
+    """A row of several runs prints as one join."""
     assert d**n > oracle.ROW_SLICE
     code, out, _ = run_cli(capsys, "tree-row", "--d", str(d), "--n", str(n))
     assert code == 0
@@ -247,15 +246,19 @@ def _peak(argv):
         tracemalloc.stop()
 
 
-def test_tree_row_never_holds_the_row(monkeypatch):
-    """tree-row writes each run of the row as the walk hands it over. The
-    59049-entry row for d=3, n=10 costs over 1 MB as one tuple and its
-    values. Printing it may take no more than one run and its decimal
-    strings (about 300 KB) above printing the 3-entry row n=1, whose peak
-    is mostly the argument parser."""
+@pytest.mark.parametrize("d,n", [(3, 10), (2, 20), (101, 3), (1024, 2)])
+def test_tree_row_never_holds_the_row(monkeypatch, d, n):
+    """tree-row writes each run of the row as it is built from the row
+    above. The 59049-entry row for d=3, n=10 costs over 1 MB as one tuple
+    and its values, and the rows here reach a million entries. Printing one
+    may take no more than a few runs, their parent pieces and their decimal
+    strings above printing the 3-entry row n=1, whose peak is mostly the
+    argument parser: under 512 KB, however long the row and however wide
+    its alphabet."""
     monkeypatch.setattr(sys, "stdout", _Sink())
+    _peak(["tree-row", "--d", "3", "--n", "1"])  # binds what the command imports
     small = _peak(["tree-row", "--d", "3", "--n", "1"])
-    large = _peak(["tree-row", "--d", "3", "--n", "10"])
+    large = _peak(["tree-row", "--d", str(d), "--n", str(n)])
     assert large - small < 512 * 1024, (small, large)
 
 

@@ -165,11 +165,34 @@ def visits(monkeypatch):
     return calls
 
 
-def test_tree_row_pushes_every_prefix_once(visits):
-    for n in range(7):
-        visits[0] = 0
-        tree_row(3, n)
-        assert visits[0] == sum(3**i for i in range(1, n + 1))
+def test_tree_row_blocks_follow_the_row_above():
+    """Block i of row n, entries d*i .. d*i + d - 1, holds the new counts of
+    the children of the i-th length-(n-1) string. It is its parent's block,
+    block i // d of row n-1, with the parent's entry c = i % d added to
+    every entry but entry c. Row 1 is the empty string's block, all ones."""
+    for d in (1, 2, 3, 4):
+        above = tree_row(d, 1)
+        assert above == (1,) * d
+        for n in range(2, 8):
+            row = tree_row(d, n)
+            assert len(row) == d**n, (d, n)
+            for i in range(d ** (n - 1)):
+                start, c = d * (i // d), i % d
+                parent = above[start:start + d]
+                block = tuple(x if e == c else x + parent[c] for e, x in enumerate(parent))
+                assert row[d * i:d * i + d] == block, (d, n, i)
+            above = row
+
+
+def test_tree_row_runs_hold_at_most_a_slice_and_a_block():
+    """Every run of a row, whether from strided assignments or built one
+    block at a time, holds at most ``ROW_SLICE + d`` entries, and the runs
+    hold the row's d**n entries between them."""
+    for d, n in [(3000, 1), (1024, 2), (101, 3), (11, 5), (10, 6), (5, 8), (2, 17)]:
+        runs = []
+        oracle._row_runs(d, n, runs.append)
+        assert max(map(len, runs)) <= oracle.ROW_SLICE + d, (d, n)
+        assert sum(map(len, runs)) == d**n, (d, n)
 
 
 def test_walk_prunes_zero_probability_branches(visits):
@@ -186,14 +209,17 @@ def test_walk_prunes_zero_probability_branches(visits):
 
 def test_tree_row_is_the_counter_on_every_string():
     """Entry m of row n is the counter's last new count on the m-th length-n
-    string in the tree's order, so the walk's in-place recurrence and
-    ``IncrementalCounter`` agree on every string."""
-    for d in (1, 2, 3):
+    string in the tree's order, so the rows built from the row above and
+    ``IncrementalCounter`` agree on every string. The row over 40 letters
+    is built one child block at a time, and the one over 12 letters also
+    by strided assignments."""
+    shapes = [(d, n) for d in (1, 2, 3) for n in range(1, 7)]
+    shapes += [(d, n) for d in (4, 5) for n in range(1, 6)] + [(40, 2), (12, 3)]
+    for d, n in shapes:
         alphabet = Alphabet(d)
-        for n in range(1, 7):
-            strings = itertools.product(range(d - 1, -1, -1), repeat=n)
-            expected = tuple(new_subseq_counts(LetterString(alphabet, s))[-1] for s in strings)
-            assert tree_row(d, n) == expected, (d, n)
+        strings = itertools.product(range(d - 1, -1, -1), repeat=n)
+        expected = tuple(new_subseq_counts(LetterString(alphabet, s))[-1] for s in strings)
+        assert tree_row(d, n) == expected, (d, n)
 
 
 def test_walk_reports_each_strings_count_before_its_last_letter():
