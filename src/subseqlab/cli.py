@@ -255,29 +255,36 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_counting(max_n: int):
-    """Every short string's count against its brute-force subsequence set,
-    walking the prefix tree depth-first so that each set extends its
-    parent's by one letter. The sets are the oracle's per-length bitsets,
-    with the empty subsequence as bit 0 of level 0, so a string's count is
-    one less than the set bits."""
+def _verify_strings(max_n: int):
+    """The counting and superpattern suites on one depth-first walk over the
+    prefix tree of short strings, each string's subsequence bitsets (the
+    oracle's, the empty one as bit 0 of level 0) grown from its parent's. Its
+    count is one less than the set bits; a binary string's superpattern k is
+    its last leading full level, searched from its parent's. Counting names
+    its first failure in walk order, superpattern its shortest, then least."""
     binary_limit = min(max_n, 12)
     ternary_limit = max(2, min(8, max_n - 4))
-    checked = 0
+    checked, wrong_count, wrong_k = 0, None, []
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
         alphabet = Alphabet(d)
-        stack = [((), [1])]
+        stack = [((), [1], 0)]
         while stack:
-            prefix, levels = stack.pop()
+            prefix, levels, parent_k = stack.pop()
             for c in range(d):
                 letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
-                found = sum(map(int.bit_count, grown)) - 1
-                if count_distinct(LetterString(alphabet, letters)) != found:
-                    return False, f"mismatch at {letters}"
+                s = LetterString(alphabet, letters)
+                if wrong_count is None and count_distinct(s) != sum(map(int.bit_count, grown)) - 1:
+                    wrong_count = letters
                 checked += 1
+                k = oracle._superpattern_k_levels(grown, 2, parent_k) if d == 2 else 0
+                if d == 2 and superpattern_k(s) != k:
+                    wrong_k.append((len(letters), letters))
                 if len(letters) < limit:
-                    stack.append((letters, grown))
-    return True, f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"
+                    stack.append((letters, grown, k))
+    return ((wrong_count is None, f"mismatch at {wrong_count}" if wrong_count else
+             f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"),
+            (not wrong_k, f"greedy/brute mismatch at {min(wrong_k)[1]}" if wrong_k
+             else f"all binary strings n<={binary_limit}"))
 
 
 def _verify_rows(max_n: int):
@@ -334,35 +341,18 @@ def _verify_engines(max_n: int):
     return True, f"iid d=2/d=3 and markov vs exhaustive, n<={top}"
 
 
-def _verify_superpattern(max_n: int):
-    import itertools
-
-    top = min(max_n, 12)
-    for n in range(1, top + 1):
-        for letters in itertools.product(range(2), repeat=n):
-            s = LetterString(BINARY, letters)
-            if superpattern_k(s) != superpattern_k_bruteforce(s):
-                return False, f"greedy/brute mismatch at {letters}"
-    return True, f"all binary strings n<={top}"
-
-
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise CliError("--max-n must be at least 2")
     _bind("strings", "models", "expectation", "oracle", "montecarlo")
-    suites = [
-        ("counting", _verify_counting),
-        ("rows", _verify_rows),
-        ("pair-structure", _verify_pairs),
-        ("fekete", _verify_fekete),
-        ("engines", _verify_engines),
-        ("superpattern", _verify_superpattern),
-    ]
-    results = [(name, *run(args.max_n)) for name, run in suites]
-    width = max(len(name) for name, _ in suites)
-    for name, ok, detail in results:
+    n = args.max_n
+    counting, superpattern = _verify_strings(n)
+    results = {"counting": counting, "rows": _verify_rows(n), "pair-structure": _verify_pairs(n),
+               "fekete": _verify_fekete(n), "engines": _verify_engines(n), "superpattern": superpattern}
+    width = max(map(len, results))
+    for name, (ok, detail) in results.items():
         _write(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}\n")
-    all_ok = all(ok for _, ok, _ in results)
+    all_ok = all(ok for ok, _ in results.values())
     _write(("all suites passed" if all_ok else "FAILURES above") + "\n")
     return 0 if all_ok else 1
 

@@ -90,6 +90,14 @@ def _extend_levels(levels: list[int], letter: int, d: int) -> list[int]:
     return grown
 
 
+def _superpattern_k_levels(levels: list[int], d: int, k: int = 0) -> int:
+    """A string's superpattern k read off its bitsets (see :func:`_extend_levels`):
+    its last leading full level, all ``d**k`` bits set, searched from a full level ``k``."""
+    while k + 1 < len(levels) and levels[k + 1].bit_count() == d ** (k + 1):
+        k += 1
+    return k
+
+
 def _walk(start, steps, n: int, visit) -> None:
     """Depth-first walk over every string of length 1..n with nonzero weight,
     for the exhaustive expectations.
@@ -321,7 +329,9 @@ def check_submultiplicativity(model, n: int, m: int) -> bool:
 
 
 def superpattern_k_bruteforce(s: LetterString) -> int:
-    """Largest k with every length-k pattern embedded, by direct enumeration.
+    """Largest k with every length-k pattern embedded, by direct enumeration:
+    the acceptance cross-check of ``superpattern_k`` (``verify`` reads k off
+    its walk's full levels, :func:`_superpattern_k_levels`).
 
     ``ends`` holds, for every length-k pattern in order, the position just
     past its leftmost embedding, read from a next-occurrence table. Level

@@ -1117,6 +1117,49 @@ def test_verify_engines_stop_at_max_n(capsys, monkeypatch):
     assert "engines         PASS  iid d=2/d=3 and markov vs exhaustive, n<=3\n" in out
 
 
+def test_verify_reads_both_string_suites_off_one_set_of_levels(capsys, monkeypatch):
+    """A bitset that loses one subsequence fails the counting suite and the
+    superpattern suite alike, each naming that string, and no other suite:
+    the string (0, 1) loses (0,) from its level 1, so it counts two
+    subsequences and its level 1 is no longer full."""
+    real = oracle._extend_levels
+
+    def lossy(levels, letter, d):
+        grown = real(levels, letter, d)
+        if (levels, letter, d) == ([1, 1], 1, 2):  # appending 1 to the binary string (0,)
+            grown[1] &= ~1
+        return grown
+
+    monkeypatch.setattr(oracle, "_extend_levels", lossy)
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert code == 1
+    *lines, last = out.splitlines()
+    assert last == "FAILURES above"
+    status = {line.split()[0]: line.split(None, 2)[1:] for line in lines}
+    assert status.pop("counting") == ["FAIL", "mismatch at (0, 1)"]
+    assert status.pop("superpattern") == ["FAIL", "greedy/brute mismatch at (0, 1)"]
+    assert [state for state, _ in status.values()] == ["PASS"] * 4
+
+
+def test_verify_walks_each_short_string_once(capsys, monkeypatch):
+    """The counting and superpattern suites share one walk: at --max-n 6 it
+    builds the bitsets and the LetterString of each of the 126 binary strings
+    with n <= 6 and 12 ternary strings with n <= 2 exactly once."""
+    calls = {}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_extend_levels", counted("levels", oracle._extend_levels))
+    monkeypatch.setattr(cli, "LetterString", counted("strings", cli.LetterString))
+    code, _, _ = run_cli(capsys, "verify", "--max-n", "6")
+    assert code == 0
+    assert calls == {"levels": 138, "strings": 138}
+
+
 @pytest.mark.parametrize("grid", ["5", "a:b", "5:1", "1:5:0"])
 def test_malformed_grid_is_rejected(capsys, grid):
     code, out, err = run_cli(

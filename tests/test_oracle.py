@@ -398,6 +398,22 @@ def test_superpattern_bruteforce_is_the_naive_search(s):
     assert superpattern_k_bruteforce(s) == naive_superpattern_k(s)
 
 
+@pytest.mark.parametrize("d,top", [(2, 10), (3, 6)])
+def test_full_levels_give_the_bruteforce_superpattern_k(d, top):
+    """The k read off the leading full levels, searched from the parent's
+    k as verify's walk does, equals the next-occurrence search on every
+    string of length 1..top."""
+    stack = [((), [1], 0)]
+    while stack:
+        prefix, levels, parent_k = stack.pop()
+        for c in range(d):
+            letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
+            k = oracle._superpattern_k_levels(grown, d, parent_k)
+            assert k == superpattern_k_bruteforce(LetterString(Alphabet(d), letters)), letters
+            if len(letters) < top:
+                stack.append((letters, grown, k))
+
+
 @given(random_binary)
 @settings(max_examples=150)
 def test_greedy_cover_matches_bruteforce(s):
