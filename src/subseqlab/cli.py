@@ -256,31 +256,23 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_strings(max_n: int):
-    """The counting and superpattern suites on one depth-first walk over the
-    prefix tree of short strings, each string's subsequence bitsets (the
-    oracle's, the empty one as bit 0 of level 0) grown from its parent's. Its
-    count is one less than the set bits; a binary string's superpattern k is
-    its last leading full level, searched from its parent's. Counting names
-    its first failure in walk order, superpattern its shortest, then least."""
+    """The counting and superpattern suites on the oracle's walk over the
+    short strings, ``oracle._short_strings``, which owns the walk and its
+    bitsets and hands out each string's brute-force count and superpattern
+    k. Counting names its first failure in walk order, superpattern its
+    shortest, then least."""
     binary_limit = min(max_n, 12)
     ternary_limit = max(2, min(8, max_n - 4))
     checked, wrong_count, wrong_k = 0, None, []
     for d, limit in ((2, binary_limit), (3, ternary_limit)):
         alphabet = Alphabet(d)
-        stack = [((), [1], 0)]
-        while stack:
-            prefix, levels, parent_k = stack.pop()
-            for c in range(d):
-                letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
-                s = LetterString(alphabet, letters)
-                if wrong_count is None and count_distinct(s) != sum(map(int.bit_count, grown)) - 1:
-                    wrong_count = letters
-                checked += 1
-                k = oracle._superpattern_k_levels(grown, 2, parent_k) if d == 2 else 0
-                if d == 2 and superpattern_k(s) != k:
-                    wrong_k.append((len(letters), letters))
-                if len(letters) < limit:
-                    stack.append((letters, grown, k))
+        for letters, count, k in oracle._short_strings(d, limit):
+            s = LetterString(alphabet, letters)
+            if wrong_count is None and count_distinct(s) != count:
+                wrong_count = letters
+            checked += 1
+            if d == 2 and superpattern_k(s) != k:
+                wrong_k.append((len(letters), letters))
     return ((wrong_count is None, f"mismatch at {wrong_count}" if wrong_count else
              f"binary n<={binary_limit}, ternary n<={ternary_limit}, {checked} strings"),
             (not wrong_k, f"greedy/brute mismatch at {min(wrong_k)[1]}" if wrong_k
@@ -367,9 +359,7 @@ def cmd_tree_row(args) -> int:
     _bind("oracle")
     decimals = []  # decimals[v] is str(v), grown on demand up to _DECIMALS entries
     sep = ""
-
-    def write(run) -> None:  # each run as it arrives, so the row is never held
-        nonlocal sep
+    for run in oracle._row_runs(args.d, args.n):  # each run as it arrives, so the row is never held
         top = max(run)
         if top < _DECIMALS:
             decimals.extend(map(str, range(len(decimals), top + 1)))
@@ -378,8 +368,7 @@ def cmd_tree_row(args) -> int:
             texts = map(str, run)
         _write(sep + ",".join(texts))
         sep = ","
-
-    oracle._row_runs(args.d, args.n, write)
+        del run  # so the next run is not built while this one is held
     _write("\n")
     return 0
 

@@ -5,17 +5,18 @@ explicitly (as bitsets, one per length), expectations sum over every
 possible string in exact arithmetic, and structural identities are checked
 row by row. The exhaustive expectations add up each string's count times
 its weight in one depth-first walk over the prefix tree, with integer path
-weights. The tree rows do not walk it: each row derives from the row above,
-a piece of whole blocks at a time, and is handed out in runs or joined into
-a plain tuple. Size guards keep the exponential enumerations inside a sane
-budget and raise :class:`SizeGuardError` beyond it.
+weights. The walks that ``verify`` checks and ``tree-row`` prints are
+handed out as generators: the short strings with their bitset counts, and
+a tree row in runs, each derived from the row above a piece of whole
+blocks at a time. Size guards keep the exponential enumerations inside a
+sane budget and raise :class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add
 
@@ -90,12 +91,22 @@ def _extend_levels(levels: list[int], letter: int, d: int) -> list[int]:
     return grown
 
 
-def _superpattern_k_levels(levels: list[int], d: int, k: int = 0) -> int:
-    """A string's superpattern k read off its bitsets (see :func:`_extend_levels`):
-    its last leading full level, all ``d**k`` bits set, searched from a full level ``k``."""
-    while k + 1 < len(levels) and levels[k + 1].bit_count() == d ** (k + 1):
-        k += 1
-    return k
+def _short_strings(d: int, limit: int):
+    """``(letters, count, k)`` for each string over ``d`` letters of length
+    1..limit, in ``verify``'s depth-first order (children 0..d-1 on a stack),
+    its bitsets (:func:`_extend_levels`) grown from its parent's: count is
+    their set bits less the empty one, k its last leading full level (all
+    ``d**k`` bits set), searched from its parent's k."""
+    stack = [((), [1], 0)]
+    while stack:
+        prefix, levels, parent_k = stack.pop()
+        for c in range(d):
+            letters, grown, k = prefix + (c,), _extend_levels(levels, c, d), parent_k
+            while k + 1 < len(grown) and grown[k + 1].bit_count() == d ** (k + 1):
+                k += 1
+            yield letters, sum(map(int.bit_count, grown)) - 1, k
+            if len(letters) < limit:
+                stack.append((letters, grown, k))
 
 
 def _walk(start, steps, n: int, visit) -> None:
@@ -136,34 +147,24 @@ def _walk(start, steps, n: int, visit) -> None:
         down(1, start, 1, 0)
 
 
-def _row_runs(d: int, n: int, emit) -> None:
-    """Hand ``emit`` row ``n`` of the d-ary tree in order, as lists of
-    consecutive entries, so no caller has to hold the row.
-
-    Row 0 is the single run ``[0]``, and row 1 comes in runs of at most
-    ``ROW_SLICE``. Longer rows come from :func:`_row_pieces`, whose pieces
-    hold at most ``ROW_SLICE + d`` entries each.
-    """
+def _row_runs(d: int, n: int):
+    """Row ``n`` of the d-ary tree in order, in runs of consecutive entries,
+    so no caller holds the row: row 0 is ``[0]`` and later rows are
+    :func:`_row_pieces`' pieces. The inputs and the size guard are checked
+    on the call, before any run is built."""
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if n < 0:
         raise ValueError("row index must be nonnegative")
     if n == 0:
-        emit([0])
-        return
+        return ([0],)
     _guard_power(max(d, 2), n, "strings")  # before any d-entry block is built
-    if n == 1:
-        for start in range(0, d, ROW_SLICE):
-            emit([1] * min(ROW_SLICE, d - start))
-        return
-    for piece in _row_pieces(d, n, ROW_SLICE):
-        emit(piece)
-        del piece  # so the next piece is not built while this one is held
+    return _row_pieces(d, n, ROW_SLICE)
 
 
 def _row_pieces(d: int, n: int, size: int):
-    """Row ``n`` >= 1 of the d-ary tree in order, in pieces of whole blocks
-    of at most ``size + d`` entries.
+    """Row ``n`` >= 1 of the d-ary tree in order: row 1 in runs of at most
+    ``size`` ones, later rows in pieces of whole blocks of at most ``size + d``.
 
     The block of a string u is the new counts of its d children, listed by
     letter in decreasing order, so row n is the blocks of the length-(n-1)
@@ -176,7 +177,8 @@ def _row_pieces(d: int, n: int, size: int):
     asked of row n-1's own generator in pieces of that size.
     """
     if n == 1:
-        yield [1] * d
+        for start in range(0, d, size):
+            yield [1] * min(size, d - start)
         return
     gather = max(size // d // d, 1) * d
     parents = []
@@ -232,9 +234,7 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     that ``tree-row`` writes as they arrive, each derived from the row
     above: O(d**n) additions, most of them run in C across whole pieces.
     """
-    values = []
-    _row_runs(d, n, values.extend)
-    return tuple(values)
+    return tuple(chain.from_iterable(_row_runs(d, n)))
 
 
 def exhaustive_expectation(model, n: int) -> ExpectationSeries:
@@ -331,7 +331,7 @@ def check_submultiplicativity(model, n: int, m: int) -> bool:
 def superpattern_k_bruteforce(s: LetterString) -> int:
     """Largest k with every length-k pattern embedded, by direct enumeration:
     the acceptance cross-check of ``superpattern_k`` (``verify`` reads k off
-    its walk's full levels, :func:`_superpattern_k_levels`).
+    the full levels of :func:`_short_strings`).
 
     ``ends`` holds, for every length-k pattern in order, the position just
     past its leftmost embedding, read from a next-occurrence table. Level

@@ -25,7 +25,9 @@ occurrence, with -1 for a letter not seen yet, so
 builds the contribution tree's rows from what that convention implies for
 a string's block, the new counts of its children: appending c keeps
 entry c and adds it to every other entry. So each row follows from the
-row above, many blocks per slice assignment.
+row above, many blocks per slice assignment. The oracle owns both walks
+of the tree: ``tree-row`` and ``verify`` pull their rows and strings from
+its generators.
 """
 
 from __future__ import annotations

@@ -187,12 +187,22 @@ def test_tree_row_blocks_follow_the_row_above():
 def test_tree_row_runs_hold_at_most_a_slice_and_a_block():
     """Every run of a row, whether from strided assignments or built one
     block at a time, holds at most ``ROW_SLICE + d`` entries, and the runs
-    hold the row's d**n entries between them."""
+    hold the row's d**n entries between them. Row 1 is cut into runs of at
+    most ``ROW_SLICE``."""
     for d, n in [(3000, 1), (1024, 2), (101, 3), (11, 5), (10, 6), (5, 8), (2, 17)]:
-        runs = []
-        oracle._row_runs(d, n, runs.append)
-        assert max(map(len, runs)) <= oracle.ROW_SLICE + d, (d, n)
+        runs = list(oracle._row_runs(d, n))
+        bound = oracle.ROW_SLICE if n == 1 else oracle.ROW_SLICE + d
+        assert max(map(len, runs)) <= bound, (d, n)
         assert sum(map(len, runs)) == d**n, (d, n)
+
+
+def test_tree_row_runs_are_checked_on_the_call():
+    """Bad inputs and the size guard raise before any run is asked for, so
+    ``tree-row`` prints nothing for them."""
+    with pytest.raises(SizeGuardError):
+        oracle._row_runs(3, 40)
+    with pytest.raises(ValueError, match="alphabet size must be at least 1"):
+        oracle._row_runs(0, 2)
 
 
 def test_walk_prunes_zero_probability_branches(visits):
@@ -401,17 +411,33 @@ def test_superpattern_bruteforce_is_the_naive_search(s):
 @pytest.mark.parametrize("d,top", [(2, 10), (3, 6)])
 def test_full_levels_give_the_bruteforce_superpattern_k(d, top):
     """The k read off the leading full levels, searched from the parent's
-    k as verify's walk does, equals the next-occurrence search on every
-    string of length 1..top."""
-    stack = [((), [1], 0)]
-    while stack:
-        prefix, levels, parent_k = stack.pop()
-        for c in range(d):
-            letters, grown = prefix + (c,), oracle._extend_levels(levels, c, d)
-            k = oracle._superpattern_k_levels(grown, d, parent_k)
-            assert k == superpattern_k_bruteforce(LetterString(Alphabet(d), letters)), letters
-            if len(letters) < top:
-                stack.append((letters, grown, k))
+    k on verify's walk, equals the next-occurrence search on every string
+    of length 1..top."""
+    for letters, _, k in oracle._short_strings(d, top):
+        assert k == superpattern_k_bruteforce(LetterString(Alphabet(d), letters)), letters
+
+
+@pytest.mark.parametrize("d,limit", [(2, 8), (3, 5)])
+def test_short_strings_hand_out_every_string_once_with_its_brute_force(d, limit):
+    """The walk yields each string of length 1..limit exactly once, with
+    the count and the superpattern k that the explicit searches find."""
+    alphabet = Alphabet(d)
+    walked = []
+    for letters, count, k in oracle._short_strings(d, limit):
+        s = LetterString(alphabet, letters)
+        assert count == len(enumerate_distinct(s)), letters
+        assert k == superpattern_k_bruteforce(s), letters
+        walked.append(letters)
+    every = [w for n in range(1, limit + 1) for w in itertools.product(range(d), repeat=n)]
+    assert sorted(walked) == sorted(every)
+
+
+def test_short_strings_come_in_stack_order():
+    """Children are pushed in letter order and the last pushed is walked
+    first, which is the order in which verify names its first failure."""
+    walk = [letters for letters, _, _ in oracle._short_strings(2, 3)]
+    assert walk == [(0,), (1,), (1, 0), (1, 1), (1, 1, 0), (1, 1, 1), (1, 0, 0), (1, 0, 1),
+                    (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (0, 0, 0), (0, 0, 1)]
 
 
 @given(random_binary)
