@@ -6,8 +6,8 @@ or JSON with --out json; solve prints JSON; verify and tree-row print
 plain text. Only the samplers (simulate, and superpattern with a model)
 load numpy. Exit codes: 0 success, 1 invalid input, failed verification
 or a stdout reader that closed early (the output stops, with nothing on
-stderr), 2 a size guard: the oracle's exhaustive guard, or the exact
-engine's budget (``expectation.EXACT_GUARD``), checked before either runs.
+stderr), 2 a size guard: the oracle's exhaustive guard, or the expectation
+engine's (``EXACT_GUARD``, ``FLOAT_GUARD``), checked before either runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Expectation engines for distinct-subsequence counts of random strings.
 
 One recurrence gives ``E[count(S_n)]`` under the nonempty convention. It
-runs over a model's letter source (see ``IIDModel.letter_source``), so it
+runs over the letter source derived from a model's ``letter_rows()``, so it
 serves IID strings over any alphabet and the two-state Markov chain alike.
 It tracks the expected new-count weight built up since each letter last
 occurred, once per letter law, and costs O(L * m**2 + d * m) per length for
@@ -10,9 +10,10 @@ When the model carries Fractions it runs exactly, on integer numerators at
 scale q0 * q**i (q0 and q the common denominators of the start and the
 steps), and hands each row out as a reduced integer pair, cancelled only by
 the primes of q0 * q; otherwise it runs in floats, where a row past the
-float64 range holds ln(E). An exact run predicts its cost before its
-first step and raises :class:`SizeGuardError` over ``EXACT_GUARD``. The
-paper's closed form for IID binary strings stays here as a test reference.
+float64 range holds ln(E). Before its first step, a run raises
+:class:`SizeGuardError` if its predicted exact cost is over ``EXACT_GUARD``
+or its float rows are over ``FLOAT_GUARD``. The paper's closed form for IID
+binary strings stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 # summed. Printing a row costs about its digits squared, since CPython's
 # int-to-str is quadratic.
 EXACT_GUARD = 4 * 10**10
+# Rows a float run may reach. On a 2-core Xeon a float row of `expect` costs
+# 10 to 19 us and holds 46 bytes; the chain took 26 s and 108 MB at the guard.
+FLOAT_GUARD = 2 * 10**6
 
 
 class SizeGuardError(RuntimeError):
@@ -133,8 +137,22 @@ def closed_form_binary(alpha, n: int) -> float:
     return ((1.0 - 2.0 * r) * (1.0 - decay) + (1.0 + 2.0 * r) * (grow - 1.0)) / (2.0 * r)
 
 
+def _letter_source(model) -> tuple:
+    """``(start, steps)`` over the rows a letter leads to, as hidden states:
+    ``steps[c][s][s2]`` (next letter c, from s to s2) is ``rows[s][c]`` if
+    c leads to s2, else the int 0. ``start`` is a phantom letter drawn from
+    the stationary ``rows[0]``, summed from a Fraction 0 (ints stay exact)
+    and divided by its total (a float one then sums to exactly 1)."""
+    rows, after = model.letter_rows()
+    states = sorted(set(after))
+    start = [sum((p for p, r in zip(rows[0], after) if r == s), Fraction(0)) for s in states]
+    steps = [[[rows[s][c] if r == s2 else 0 for s2 in states] for s in states]
+             for c, r in enumerate(after)]
+    return [p / sum(start) for p in start], steps
+
+
 def _source_series(model, n: int, mode: str) -> ExpectationSeries:
-    """Iterate the last-occurrence recurrence over ``model.letter_source()``.
+    """Iterate the last-occurrence recurrence over :func:`_letter_source`.
 
     ``acc[c]`` is a row vector over hidden states: the expected new-count
     weight built up since letter c last occurred (a phantom start counts as
@@ -154,7 +172,8 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     before it starts.
     Floats run the same loop with q = q0 = 1 and are kept at scale 2**-k
     (divided by 2**600, which is exact, once ``total`` passes it); a row
-    whose ``2**k * total`` overflows holds its ln.
+    whose ``2**k * total`` overflows holds its ln. Past ``FLOAT_GUARD``
+    rows the run stops before it starts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -163,7 +182,9 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     if mode == "exact" and not model.is_exact:
         raise ValueError("exact mode needs rational (Fraction) probabilities")
     mode = "exact" if model.is_exact else "float"
-    start, steps = model.letter_source()
+    if mode == "float" and n > FLOAT_GUARD:
+        raise SizeGuardError(f"float rows to n={n} are over the float guard of {FLOAT_GUARD:.3g} rows")
+    start, steps = _letter_source(model)
     q0 = q = 1
     if mode == "exact":
         q0 = math.lcm(*(Fraction(p).denominator for p in start))

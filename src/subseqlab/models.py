@@ -1,8 +1,8 @@
 """Random letter-generation models: IID letters and a two-state Markov chain.
 
-Models carry their probabilities either as exact rationals (Fractions or
-ints) or as floats. Exact models feed the exact expectation engines and the
-exhaustive oracle; float models feed the floating engines and the samplers.
+Each states its letters once, in ``letter_rows()``, which the sampler, the
+oracle and the expectation engine read. Probabilities are exact rationals
+(Fractions or ints), which the exact engine and the oracle take, or floats.
 """
 
 from __future__ import annotations
@@ -81,19 +81,11 @@ class IIDModel:
     def as_floats(self) -> "IIDModel":
         return IIDModel(tuple(float(p) for p in self.probs))
 
-    def letter_source(self) -> tuple:
-        """``(start, steps)`` with one hidden state: ``steps[c] = [[p_c]]``.
-
-        A letter source has m hidden states; ``start`` is their initial
-        distribution and ``steps[c][s][s2]`` is the probability that the
-        next letter is c and the source moves from s to s2.
-        """
-        return (1,), tuple(((p,),) for p in self.probs)
-
     def letter_rows(self) -> tuple:
         """``(rows, after)``: ``rows[0]`` is the law of the first letter and
         ``rows[after[c]]`` that of the letter after c. IID letters share one
-        row."""
+        row, trivially stationary, as ``rows[0]`` must be: the expectation
+        engine starts from a phantom letter drawn from it."""
         return (self.probs,), (0,) * self.d
 
     def describe(self) -> str:
@@ -137,18 +129,10 @@ class MarkovModel:
     def as_floats(self) -> "MarkovModel":
         return MarkovModel(float(self.alpha), float(self.beta))
 
-    def letter_source(self) -> tuple:
-        """Two hidden states, the last letter, started from stationarity.
-
-        ``steps[c][s][s2] = T[s][c]`` when ``s2 == c`` and 0 otherwise, with
-        ``T[s][1]`` the chance of a one after letter s.
-        """
-        a, b, g = self.alpha, self.beta, self.gamma
-        return (1 - g, g), (((1 - b, 0), (1 - a, 0)), ((0, b), (0, a)))
-
     def letter_rows(self) -> tuple:
-        """``(rows, after)``: the stationary first letter in ``rows[0]``, and
-        the letter after c in ``rows[1 + c]``."""
+        """``(rows, after)``: the first letter in ``rows[0]``, and the letter
+        after c in ``rows[1 + c]``. ``rows[0]`` must be stationary, since the
+        expectation engine starts from a phantom letter drawn from it."""
         a, b, g = self.alpha, self.beta, self.gamma
         return ((1 - g, g), (1 - b, b), (1 - a, a)), (1, 2)
 

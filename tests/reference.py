@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from subseqlab import oracle
+from subseqlab import IIDModel, oracle
 
 
 def asymptotic_constants(alpha) -> tuple[float, float]:
@@ -22,16 +22,33 @@ def asymptotic_constants(alpha) -> tuple[float, float]:
     return 1.0 + r, (1.0 + 2.0 * r) / (2.0 * r)
 
 
+def hand_letter_source(model) -> tuple:
+    """``(start, steps)``, written by hand from the model's parameters rather
+    than derived from its ``letter_rows()`` as the engine's is.
+
+    IID letters have one hidden state, ``steps[c] = [[p_c]]``. The chain's
+    two hidden states are the last letter, started from the stationary
+    ``(1 - gamma, gamma)``: ``steps[c][s][s2] = T[s][c]`` when ``s2 == c``
+    and 0 otherwise, with ``T[s][1]`` the chance of a one after letter s.
+    """
+    if isinstance(model, IIDModel):
+        return (1,), tuple(((p,),) for p in model.probs)
+    a, b, g = model.alpha, model.beta, model.gamma
+    return (1 - g, g), (((1 - b, 0), (1 - a, 0)), ((0, b), (0, a)))
+
+
 def per_letter_series(model, n: int) -> tuple[tuple, int]:
     """``(values, log_rows)`` of ``E[count(S_i)]``, i = 1..n, from the
-    last-occurrence recurrence with one ``acc`` row per letter, which the
-    engine, sharing a row among letters of one law, must equal bit for bit.
+    last-occurrence recurrence over :func:`hand_letter_source` with one
+    ``acc`` row per letter, which the engine, deriving its table from
+    ``letter_rows()`` and sharing a row among letters of one law, must equal
+    bit for bit.
 
     Exact on integer numerators at scale ``q0 * q**i`` for exact models, in
     floats otherwise; float state is divided by 2**600 once the total
     passes it, and a row past the float range holds its ln.
     """
-    start, steps = model.letter_source()
+    start, steps = hand_letter_source(model)
     q0 = q = 1
     if model.is_exact:
         q0 = math.lcm(*(Fraction(p).denominator for p in start))

@@ -19,6 +19,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -337,6 +338,16 @@ def test_exact_budget_exit_code(capsys):
         assert run_cli(capsys, *argv) == (2, "", (
             f"size guard: exact rows to n={n} reach {digits} digits: a predicted cost of "
             f"{cost} squared digits, over the exact guard of 4e+10\n"))
+
+
+def test_float_guard_exit_code(capsys):
+    """A float run over ``FLOAT_GUARD`` rows exits 2 within a second,
+    before its first row."""
+    for model in (("closed", "--alpha", "0.5"), ("markov", "--markov", "0.7,0.3")):
+        began = time.perf_counter()
+        assert run_cli(capsys, "expect", "--engine", *model, "--n", "100000000") == (2, "", (
+            "size guard: float rows to n=100000000 are over the float guard of 2e+06 rows\n"))
+        assert time.perf_counter() - began < 1
 
 
 def test_exact_budget_bounds_a_source_with_q_one(capsys):

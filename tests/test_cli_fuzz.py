@@ -8,15 +8,19 @@ stderr, and a run that exits 0 prints no inf or nan.
 
 Sizes stay small so the whole run takes a few seconds: ``verify --max-n``
 at most 5, ``tree-row --n`` at most 8, ``--trials`` at most 5 and ``--n``
-at most 1000. ``--exact`` runs draw from the same lengths whatever their
-denominators: the exact engine's budget refuses, with exit 2, a run such
-as ``expect --engine closed --alpha 1e-320 --exact --n 1000`` that would
-take about half an hour. ``-h`` is never drawn, since argparse's help
-exits the interpreter by design.
+at most 1000, except that ``expect --n`` also draws 10**30. Every ``expect``
+run is priced before its first step, so a valid one at that length must
+exit 2 within a second, in exact and in float mode alike. ``--exact`` runs
+draw from the same lengths whatever their denominators: the exact engine's
+budget refuses, with exit 2, a run such as ``expect --engine closed
+--alpha 1e-320 --exact --n 1000`` that would take about half an hour.
+``-h`` is never drawn, since argparse's help exits the interpreter by
+design.
 """
 
 import random
 import re
+import time
 
 import pytest
 
@@ -85,7 +89,7 @@ def _expect(rng, tmp_path):
     if rng.random() < 0.95:
         argv += ["--engine", engine if rng.random() < 0.95 else "bogus"]
     argv += _model_flags(rng, cli._TAKES[engine])
-    _maybe(rng, argv, "--n", LENGTHS, 0.95)
+    _maybe(rng, argv, "--n", LENGTHS + [HUGE] * 2, 0.95)
     if rng.random() < 0.5:
         argv.append("--exact")
     _maybe(rng, argv, "--out", OUTS, 0.4)
@@ -166,14 +170,22 @@ COMMANDS = [_count, _expect, _simulate, _verify, _tree_row, _superpattern, _solv
 
 def test_hostile_argv_exits_cleanly(capsys, tmp_path):
     rng = random.Random(0)
+    huge = {}  # exit codes of expect --n HUGE, by mode
     for i in range(400):
         argv = COMMANDS[i % len(COMMANDS)](rng, tmp_path)
+        began = time.perf_counter()
         try:
             code = main(argv)
         except (Exception, SystemExit) as exc:
             pytest.fail(f"{argv}: {exc!r} escaped main")
+        seconds = time.perf_counter() - began
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, argv
         if code == 0:
             assert not re.search(r"(?i)\b(inf|infinity|nan)\b", out), (argv, out[:200])
+        if argv[0] == "expect" and ("--n", HUGE) in zip(argv, argv[1:]):
+            assert code in (1, 2) and seconds < 1, (argv, code, seconds)  # 1: invalid input
+            assert (code == 2) is err.startswith("size guard:"), (argv, err)
+            huge.setdefault("--exact" in argv, set()).add(code)
+    assert {exact: 2 in codes for exact, codes in huge.items()} == {False: True, True: True}

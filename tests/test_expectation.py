@@ -249,7 +249,7 @@ def test_markov_steps_follow_their_rule(alpha, beta):
     entry keeps its type (Fraction, float or int)."""
     t = ((1 - beta, beta), (1 - alpha, alpha))
     want = [[[t[s][c] if s2 == c else 0 for s2 in (0, 1)] for s in (0, 1)] for c in (0, 1)]
-    _, steps = MarkovModel(alpha, beta).letter_source()
+    _, steps = expectation._letter_source(MarkovModel(alpha, beta))
 
     def typed(table):
         return [[[(type(x), x) for x in row] for row in step] for step in table]
@@ -396,7 +396,22 @@ def test_exact_budget_is_checked_before_the_first_step(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(SizeGuardError, match="^exact rows to n=1000+ reach "):
         iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 10**400)
-    assert iid_matrix_expectation(ten.as_floats(), 31).mode == "float"  # floats have no budget
+    assert iid_matrix_expectation(ten.as_floats(), 31).mode == "float"  # floats are not priced
+
+
+def test_float_rows_are_checked_before_the_first_step(monkeypatch):
+    """A float run over ``FLOAT_GUARD`` rows stops before any step, and an
+    exact run is priced by its budget alone. The guard admits the 10**6
+    rows of ``expect --engine closed --alpha 0.5 --n 1000000``."""
+    assert expectation.FLOAT_GUARD >= 10**6
+    with pytest.raises(SizeGuardError, match=r"^float rows to n=10{400} are over the float guard"):
+        iid_matrix_expectation(IIDModel.binary(0.5), 10**400)
+    monkeypatch.setattr(expectation, "FLOAT_GUARD", 30)
+    chain = MarkovModel(0.7, 0.3)
+    assert len(markov_expectation(chain, 30)) == 30
+    with pytest.raises(SizeGuardError, match="^float rows to n=31 are over the float guard of 30 rows$"):
+        markov_expectation(chain, 31)
+    assert iid_matrix_expectation(IIDModel.uniform(10), 31).mode == "exact"
 
 
 def _perfbench_checks():
