@@ -6,8 +6,9 @@ or JSON with --out json; solve prints JSON; verify and tree-row print
 plain text. Only the samplers (simulate, and superpattern with a model)
 load numpy. Exit codes: 0 success, 1 invalid input, failed verification
 or a stdout reader that closed early (the output stops, with nothing on
-stderr), 2 a size guard: the oracle's exhaustive guard, or the expectation
-engine's (``EXACT_GUARD``, ``FLOAT_GUARD``), checked before either runs.
+stderr), 2 a size guard: the oracle's exhaustive guard, the expectation
+engine's (``EXACT_GUARD``, ``FLOAT_GUARD``) or the samplers'
+(``SAMPLE_GUARD``), checked before any of them runs.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def cmd_simulate(args) -> int:
 
     _bind("models", "montecarlo", "output")
     model = _parse_model(args, False, _TAKES[args.model], f"--model {args.model}")
-    ns = [args.n] if args.n is not None else _parse_grid(args.grid)
+    ns = range(args.n, args.n + 1) if args.n is not None else _parse_grid(args.grid)
     if args.fit_growth:  # checked before sampling; grid lengths are sorted, distinct, >= 0
         if args.out != "json":
             raise CliError("--fit-growth reports through JSON; add --out json")
@@ -238,6 +239,8 @@ def cmd_simulate(args) -> int:
             raise CliError(
                 f"growth fit takes ln of the mean count, so lengths must be at least 1; got {[ns[0]]}"
             )
+    # the whole grid is priced before its first length is sampled
+    montecarlo._check_run(montecarlo._count_block, model, ns, args.trials, args.seed)
     records = [
         estimate_expected_count(model, n, args.trials, args.seed, workers=args.workers, stream=idx)
         for idx, n in enumerate(ns)
@@ -560,6 +563,10 @@ def main(argv=None) -> int:
         return 1
     if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+; exact results have any length
         sys.set_int_max_str_digits(0)
+    # Before numpy loads: its only BLAS call here is a 3-point polyfit, and
+    # OpenBLAS's idle worker thread spins for about 120 ms of CPU time.
+    # The CLI owns its process; the library leaves a caller's BLAS alone.
+    os.putenv("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -44,7 +44,8 @@ FLOAT_GUARD = 2 * 10**6
 
 class SizeGuardError(RuntimeError):
     """A computation would exceed its size guard: the oracle's exhaustive
-    guard, or the exact engine's budget. :mod:`subseqlab.oracle` exports it."""
+    guard, the engine's exact budget or float rows, or the samplers' price.
+    :mod:`subseqlab.oracle` exports it."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -78,9 +78,6 @@ class IIDModel:
     def uniform(cls, d: int) -> "IIDModel":
         return cls(tuple(Fraction(1, d) for _ in range(d)))
 
-    def as_floats(self) -> "IIDModel":
-        return IIDModel(tuple(float(p) for p in self.probs))
-
     def letter_rows(self) -> tuple:
         """``(rows, after)``: ``rows[0]`` is the law of the first letter and
         ``rows[after[c]]`` that of the letter after c. IID letters share one
@@ -125,9 +122,6 @@ class MarkovModel:
     def gamma(self):
         """Stationary probability that a letter is 1; a float if either probability is."""
         return Fraction(self.beta) / (1 + self.beta - self.alpha)
-
-    def as_floats(self) -> "MarkovModel":
-        return MarkovModel(float(self.alpha), float(self.beta))
 
     def letter_rows(self) -> tuple:
         """``(rows, after)``: the first letter in ``rows[0]``, and the letter

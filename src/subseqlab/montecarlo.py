@@ -23,6 +23,10 @@ stays below 2**62, Python ints after. Once any count exceeds 2**53 a
 float64 can no longer hold it exactly, so the estimate switches to log
 space and the record carries a flag saying so.
 
+Before a run draws a letter, :func:`_check_run` prices it in letter cells
+and raises :class:`~subseqlab.expectation.SizeGuardError` over
+SAMPLE_GUARD; that module loads only to raise it.
+
 numpy and the process pool are imported by the functions that use them,
 so importing the package (and every CLI command that does not sample)
 loads neither.
@@ -62,15 +66,70 @@ MAX_SEED = 2**64
 BLOCK = 4096  # trials per random stream
 STATE = 2**18  # letter state (rows * d) a block may hold: BLOCK rows up to d = 64
 CELLS = 2**14  # uniforms per slab a block draws at a time
+# What a sampler run may cost, in letter cells of about 25 ns each on a
+# 2-core Xeon (see _price). A block's column costs COLUMN cells, and a trial
+# TRIAL cells for its value, which the run holds to its end.
+SAMPLE_GUARD = 5 * 10**8
+COLUMN = 256
+TRIAL = 200
+SWITCH = 62  # a count after j < 62 letters is below 2**62, so those columns stay int64
 
 
-def _check_run(n: int, trials: int, seed: int, min_trials: int, too_few: str) -> None:
+def _block_size(d: int) -> int:
+    """Trials per block: BLOCK, or fewer past 64 letters to keep STATE."""
+    return min(BLOCK, max(1, STATE // d))
+
+
+def _power_sums(ns: range) -> tuple[int, int, int]:
+    """Length, sum and sum of squares of a range with a positive step, in O(1)."""
+    a, s = ns.start, ns.step
+    m = max(0, -(-(ns.stop - a) // s))
+    pairs = m * (m - 1) // 2  # the sum of 0..m-1; the sum of their squares is pairs * (2m - 1) / 3
+    return m, m * a + s * pairs, m * a * a + 2 * a * s * pairs + s * s * (pairs * (2 * m - 1) // 3)
+
+
+def _price(counts: bool, d: int, ns: range, trials: int) -> int:
+    """Letter cells a run of ``trials`` strings at each length in ``ns``
+    costs, counting (``counts``) or finding the superpattern k.
+
+    At each length n, a trial costs its n letter cells and TRIAL more, and a
+    block COLUMN cells a column and one per entry of its ``rows * d`` state.
+    A count past the int64 switch is weighted by its digits: its cell in
+    column j holds up to j bits and costs ``16 + j / 256``, so a counting
+    trial at n > SWITCH costs ``15 * (n - SWITCH) + (n * (n - 1) - SWITCH *
+    (SWITCH - 1)) / 512`` more.
+    """
+    size = _block_size(d)
+    m, total, _ = _power_sums(ns)
+    price = -(-trials // size) * (COLUMN * total + m * size * d) + trials * (TRIAL * m + total)
+    if counts:
+        k, high, squares = _power_sums(ns[max(0, -(-(SWITCH - ns.start) // ns.step)):])
+        extra = 512 * 15 * (high - SWITCH * k) + squares - high - SWITCH * (SWITCH - 1) * k
+        price += -(-trials * extra // 512)
+    return price
+
+
+def _check_run(stat, model, ns: range, trials: int, seed: int) -> None:
+    """Refuse a run of ``stat`` over the lengths ``ns`` before it draws a
+    letter: bad input with ValueError, and a :func:`_price` over
+    SAMPLE_GUARD with SizeGuardError."""
     if not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
-    if trials < min_trials:
-        raise ValueError(too_few)
-    if n < 0:
+    counts = stat is _count_block  # a count needs 2 trials for its standard error
+    if trials < 1 + counts:
+        raise ValueError("need at least 2 trials for a standard error" if counts
+                         else "need at least 1 trial")
+    if ns.start < 0:
         raise ValueError("n must be nonnegative")
+    price = _price(counts, model.d, ns, trials)
+    if price > SAMPLE_GUARD:
+        from .expectation import SizeGuardError
+
+        exp = int(math.log10(price))  # the price may be past the float range
+        raise SizeGuardError(
+            f"trials={trials} at lengths up to n={ns[-1]} are priced at {price / 10**exp:.3g}"
+            f"e+{exp:02d} letter cells, over the sample guard of {SAMPLE_GUARD:.3g}"
+        )
 
 
 def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
@@ -138,34 +197,44 @@ def _count_block(columns, rows: int, d: int) -> list[int]:
     """
     import numpy as np
 
-    ar = np.arange(rows)
+    off = np.arange(rows) * d  # row r's entry for letter c is base[off[r] + c]
     total = np.zeros(rows, dtype=np.int64)
-    base = np.full((rows, d), -1, dtype=np.int64)
+    base = np.full(rows * d, -1, dtype=np.int64)
     for c in columns:
         if total.dtype == np.int64 and total.max() >= 2**62:
             total, base = total.astype(object), base.astype(object)
-        b = base[ar, c]
-        base[ar, c] = total
+        at = off + c
+        b = base[at]
+        base[at] = total
         total = 2 * total - b
     return total.tolist()
 
 
 def _greedy_block(columns, rows: int, d: int) -> list[int]:
     """:func:`superpattern_k` of ``rows`` strings at once, fed one column of
-    letters at a time: a ``(rows, d)`` seen matrix and a size per row."""
+    letters at a time: a size per row, and a flat ``(rows, d)`` table of the
+    round parity each letter was last seen in.
+
+    A closed round has seen every letter, so a letter was last seen either
+    in its row's current round or in the one before, and one parity bit
+    tells the two apart: closing a round flips the row's parity ``now``,
+    which leaves every letter of the row unseen without clearing the row.
+    """
     import numpy as np
 
-    ar = np.arange(rows)
-    seen = np.zeros((rows, d), dtype=bool)
+    off = np.arange(rows) * d  # row r's entry for letter c is seen[off[r] + c]
+    seen = np.zeros(rows * d, dtype=bool)  # no letter is seen in round 0, of parity True
+    now = np.ones(rows, dtype=bool)
     size = np.zeros(rows, dtype=np.int64)
     k = np.zeros(rows, dtype=np.int64)
     for c in columns:
-        size += ~seen[ar, c]
-        seen[ar, c] = True
+        at = off + c
+        size += seen[at] != now
+        seen[at] = now
         done = size == d
         k += done
-        seen[done] = False
-        size[done] = 0
+        size *= ~done
+        now ^= done
     return k.tolist()
 
 
@@ -186,7 +255,7 @@ def _run_trials(stat, model, n, trials, seed, stream, workers) -> list[int]:
     process per task. A block's values depend only on (seed, stream, block
     index, trials, d), so every worker count returns the identical list.
     """
-    size = min(BLOCK, max(1, STATE // model.d))
+    size = _block_size(model.d)
     blocks = -(-trials // size)
     parts = min(workers, os.cpu_count() or 1, blocks)
     run = partial(_block, stat, model, n, trials, seed, stream, size)
@@ -242,9 +311,15 @@ def estimate_expected_count(
     error runs over the trial-ordered array with numpy's pairwise summation,
     so the output does not depend on the worker split.
     """
-    import numpy as np  # before _run_trials forks, so the workers inherit it
+    # numpy loads before _run_trials forks, so a pool's workers inherit it,
+    # but numpy.random loads lazily (numpy 2) and each worker imports it
+    # again. Importing it here too cut the 2-worker run of 40,000 trials at
+    # n=30 by about 20 ms, but added about 6 MB to this process's RSS, which
+    # raised the sampler runs' peak from 37.1 to 39.0 MB; forking by hand in
+    # place of the pool saved nothing (212 against 217 ms).
+    import numpy as np
 
-    _check_run(n, trials, seed, 2, "need at least 2 trials for a standard error")
+    _check_run(_count_block, model, range(n, n + 1), trials, seed)
     phis = _run_trials(_count_block, model, n, trials, seed, stream, workers)
     if max(phis) <= INT_EXACT_MAX:
         arr = np.array(phis, dtype=np.float64)
@@ -348,9 +423,9 @@ def superpattern_experiment(
     model, n: int, trials: int, seed: int, workers: int = 1
 ) -> SuperpatternRecord:
     """Sample the superpattern statistic: histogram, mean, and mean of k/n."""
-    import numpy as np  # before _run_trials forks, so the workers inherit it
+    import numpy as np  # before _run_trials forks: see estimate_expected_count
 
-    _check_run(n, trials, seed, 1, "need at least 1 trial")
+    _check_run(_greedy_block, model, range(n, n + 1), trials, seed)
     ks = _run_trials(_greedy_block, model, n, trials, seed, 0, workers)
     hist = tuple(sorted(Counter(ks).items()))
     mean_k = float(np.mean(np.array(ks, dtype=np.float64)))

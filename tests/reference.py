@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from subseqlab import IIDModel, oracle
+from subseqlab import IIDModel, MarkovModel, oracle
 
 
 def asymptotic_constants(alpha) -> tuple[float, float]:
@@ -20,6 +20,14 @@ def asymptotic_constants(alpha) -> tuple[float, float]:
         raise ValueError("asymptotic constants need alpha strictly inside (0, 1)")
     r = math.sqrt(a * (1.0 - a))
     return 1.0 + r, (1.0 + 2.0 * r) / (2.0 * r)
+
+
+def float_twin(model):
+    """The model with each probability as its nearest float, which runs the
+    engine in float mode on the law of an exact model."""
+    if isinstance(model, IIDModel):
+        return IIDModel(tuple(float(p) for p in model.probs))
+    return MarkovModel(float(model.alpha), float(model.beta))
 
 
 def hand_letter_source(model) -> tuple:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -348,6 +349,66 @@ def test_float_guard_exit_code(capsys):
         assert run_cli(capsys, "expect", "--engine", *model, "--n", "100000000") == (2, "", (
             "size guard: float rows to n=100000000 are over the float guard of 2e+06 rows\n"))
         assert time.perf_counter() - began < 1
+
+
+HUGE = str(10**30)
+UNBOUNDED_SAMPLERS = [
+    ("simulate", "--model", "iid", "--alpha", "0.5", "--n", HUGE, "--trials", "2"),
+    ("superpattern", "--alpha", "0.5", "--n", HUGE, "--trials", "1"),
+    ("simulate", "--model", "iid", "--alpha", "0.5", "--n", "10", "--trials", str(10**12)),
+    ("simulate", "--model", "markov", "--markov", "0.7,0.3", "--grid", f"1:{HUGE}:3",
+     "--trials", "2", "--fit-growth", "--out", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", UNBOUNDED_SAMPLERS, ids=["n", "superpattern-n", "trials", "grid"])
+def test_sample_guard_exit_code(argv):
+    """A sampler run over the sample guard exits 2 before it draws a letter,
+    in a new interpreter, where the guard's error class loads only when the
+    sampler raises it."""
+    began = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "subseqlab.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"size guard: trials=\d+ at lengths up to n=\d+ are priced at "
+                        r"[\d.]+e\+\d\d+ letter cells, over the sample guard of 5e\+08\n",
+                        proc.stderr), proc.stderr
+    assert time.perf_counter() - began < 5  # a new interpreter that loads numpy
+
+
+def test_the_grid_is_priced_before_its_first_length(capsys, monkeypatch):
+    """The whole grid is priced at once: a grid whose first lengths are
+    cheap samples none of them."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the grid was priced")
+
+    monkeypatch.setattr(cli, "estimate_expected_count", no_sampling)
+    code, out, err = run_cli(capsys, "simulate", "--model", "iid", "--alpha", "0.5",
+                             "--grid", "1:100000", "--trials", "1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("size guard: trials=1000 at lengths up to n=100000 are priced at ")
+
+
+# Runs a small simulate through main, then prints this process's thread count.
+THREADS = """
+import os, sys
+from subseqlab.cli import main
+code = main(["simulate", "--model", "iid", "--alpha", "0.5", "--grid", "10:30:10",
+             "--trials", "50", "--fit-growth", "--out", "json"])
+print(code, len(os.listdir("/proc/self/task")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and two CPUs for a BLAS pool to start")
+def test_the_cli_runs_numpy_on_one_thread():
+    """numpy's BLAS would start one thread per CPU as it loads; the CLI caps
+    it at one. The environment is built without the cap, since a process
+    that has run main carries it in its C environment."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", THREADS], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stderr.split()[-2:] == ["0", "1"], proc.stderr
 
 
 def test_exact_budget_bounds_a_source_with_q_one(capsys):

@@ -8,9 +8,11 @@ stderr, and a run that exits 0 prints no inf or nan.
 
 Sizes stay small so the whole run takes a few seconds: ``verify --max-n``
 at most 5, ``tree-row --n`` at most 8, ``--trials`` at most 5 and ``--n``
-at most 1000, except that ``expect --n`` also draws 10**30. Every ``expect``
-run is priced before its first step, so a valid one at that length must
-exit 2 within a second, in exact and in float mode alike. ``--exact`` runs
+at most 1000, except for 10**30, which ``expect --n``, ``simulate --n``,
+``--trials`` and ``--grid`` and ``superpattern --n`` and ``--trials`` also
+draw. Every ``expect`` and sampler run is priced before its first step or
+letter, so a valid one at that size must exit 2 within a second, in exact
+and in float mode alike, and for each sampler. ``--exact`` runs
 draw from the same lengths whatever their denominators: the exact engine's
 budget refuses, with exit 2, a run such as ``expect --engine closed
 --alpha 1e-320 --exact --n 1000`` that would take about half an hour.
@@ -31,7 +33,7 @@ HUGE = str(10**30)
 # Values no flag takes, drawn in a tenth of the draws; each flag's own pool
 # of ordinary values covers the rest. A huge positive integer is drawn
 # only where it is refused or costs nothing: seeds, workers, alphabets,
-# tree-row's --d, and solve's values.
+# tree-row's --d, solve's values, and the sizes of expect and the samplers.
 HOSTILE = ["nan", "inf", "-inf", "1/0", "1e-320", "-0", "", "-1", "-7", "-" + HUGE]
 ALPHAS = ["0", "1", "0.5", "1/3", "0.7", "3/10", "1e-320", "0.333333333333333333333"]
 PROBS = ["0.2,0.3,0.5", "1/3,1/3,1/3", "1/2,1/2", "1", "0,1", "1e-320,1", "0.1,0.2,0.3,0.4"]
@@ -44,6 +46,8 @@ STRINGS = ["010", "0110", "", "2,1,0", "0,10,3", "9" * 30, "01" * 100] * 2 + ["1
 ALPHABETS = ["1", "2", "3", "11", HUGE]
 GRIDS = ["0:3", "1:200:50", "2:8:3", "1:5", "3:5"] * 2 + ["5:1", "0:10:0", "1:2:3:4", "a:b"]
 OUTS = ["csv", "json"] * 5 + ["xml"]
+SAMPLER_SIZES = {"--n": LENGTHS + [HUGE] * 2, "--trials": TRIALS + [HUGE],
+                 "--grid": GRIDS + [f"0:{HUGE}", f"3:{HUGE}:7"]}  # priced, so refused
 
 
 def _pick(rng, pool):
@@ -104,8 +108,8 @@ def _simulate(rng, tmp_path):
     argv += _model_flags(rng, cli._TAKES[model])
     lengths = rng.choices([["--n"], ["--grid"], [], ["--n", "--grid"]], weights=[12, 6, 1, 1])[0]
     for flag in lengths:
-        argv += [flag, _pick(rng, LENGTHS if flag == "--n" else GRIDS)]
-    argv += ["--trials", _pick(rng, TRIALS)]  # the default of 1000 is too many here
+        argv += [flag, _pick(rng, SAMPLER_SIZES[flag])]
+    argv += ["--trials", _pick(rng, SAMPLER_SIZES["--trials"])]  # the default of 1000 is too many here
     _maybe(rng, argv, "--seed", SEEDS, 0.4)
     _maybe(rng, argv, "--workers", WORKERS, 0.3)
     _maybe(rng, argv, "--out", OUTS, 0.5)
@@ -132,11 +136,11 @@ def _superpattern(rng, tmp_path):
         _maybe(rng, argv, "--alphabet", ALPHABETS, 0.4)
     else:
         argv += _model_flags(rng)
-        _maybe(rng, argv, "--n", LENGTHS, 0.9)
+        _maybe(rng, argv, "--n", SAMPLER_SIZES["--n"], 0.9)
     if rng.random() < 0.1:  # a model's flags after a string, or the reverse
         argv += rng.choice([["--n", "5"], ["--alphabet", "2"]])
     if "--n" in argv:  # the default of 1000 trials is too many here
-        argv += ["--trials", _pick(rng, TRIALS)]
+        argv += ["--trials", _pick(rng, SAMPLER_SIZES["--trials"])]
         _maybe(rng, argv, "--seed", SEEDS, 0.3)
         _maybe(rng, argv, "--workers", WORKERS, 0.2)
     _maybe(rng, argv, "--out", OUTS, 0.4)
@@ -170,7 +174,7 @@ COMMANDS = [_count, _expect, _simulate, _verify, _tree_row, _superpattern, _solv
 
 def test_hostile_argv_exits_cleanly(capsys, tmp_path):
     rng = random.Random(0)
-    huge = {}  # exit codes of expect --n HUGE, by mode
+    huge = {}  # exit codes of expect --n HUGE, by mode, and of samplers drawing HUGE
     for i in range(400):
         argv = COMMANDS[i % len(COMMANDS)](rng, tmp_path)
         began = time.perf_counter()
@@ -188,4 +192,10 @@ def test_hostile_argv_exits_cleanly(capsys, tmp_path):
             assert code in (1, 2) and seconds < 1, (argv, code, seconds)  # 1: invalid input
             assert (code == 2) is err.startswith("size guard:"), (argv, err)
             huge.setdefault("--exact" in argv, set()).add(code)
-    assert {exact: 2 in codes for exact, codes in huge.items()} == {False: True, True: True}
+        sizes = [value for flag, value in zip(argv, argv[1:]) if flag in SAMPLER_SIZES]
+        if argv[0] in ("simulate", "superpattern") and any(HUGE in value for value in sizes):
+            assert code in (1, 2) and seconds < 1, (argv, code, seconds)
+            assert (code == 2) is err.startswith("size guard:"), (argv, err)
+            huge.setdefault(argv[0], set()).add(code)
+    assert {key: 2 in codes for key, codes in huge.items()} == {
+        False: True, True: True, "simulate": True, "superpattern": True}

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import engine_series, rational_models
-from reference import asymptotic_constants, per_letter_series
+from reference import asymptotic_constants, float_twin, per_letter_series
 from subseqlab import (
     IIDModel,
     MarkovModel,
@@ -303,7 +303,7 @@ def test_exact_engine_equals_oracle(model, n):
 @settings(max_examples=30, deadline=None)
 def test_float_engine_tracks_exact(model, n):
     exact = engine_series(model, n).values
-    floats = engine_series(model.as_floats(), n)
+    floats = engine_series(float_twin(model), n)
     assert floats.mode == "float"
     for got, want in zip(floats.values, exact):
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -324,7 +324,7 @@ def test_float_rows_past_the_range_hold_ln(d, first_ln_row):
     beside that boundary both kinds of row match the analytic value (for
     fair bits E_n = 2 * 1.5**n - 2)."""
     n = 2000
-    series = iid_matrix_expectation(IIDModel.uniform(d).as_floats(), n)
+    series = iid_matrix_expectation(float_twin(IIDModel.uniform(d)), n)
     assert series.log_rows == n - first_ln_row + 1
     assert uniform_ln(d, first_ln_row - 1) < FLOAT_MAX_LN < uniform_ln(d, first_ln_row)
     for i in range(first_ln_row - 40, n + 1):
@@ -349,7 +349,7 @@ FLOAT_MODELS = [
 def test_float_rows_are_finite_and_increasing(model):
     """No row is inf or nan; the values rise up to the ln rows, and the ln
     rows (a suffix) rise from ln of the float range on."""
-    series = engine_series(model.as_floats(), 3000)
+    series = engine_series(float_twin(model), 3000)
     split = len(series) - series.log_rows
     plain, logs = series.values[:split], series.values[split:]
     assert all(math.isfinite(v) for v in series.values)
@@ -362,7 +362,7 @@ def test_markov_float_ln_rows_track_the_exact_engine():
     """The chain's ln rows agree with ln of its exact rationals."""
     model = MarkovModel(Fraction(7, 10), Fraction(3, 10))
     exact = markov_expectation(model, 2100)
-    floats = markov_expectation(model.as_floats(), 2100)
+    floats = markov_expectation(float_twin(model), 2100)
     assert floats.log_rows == 2100 - 2031 + 1
     for i in (2030, 2031, 2100):
         want = exact.value_at(i)
@@ -396,7 +396,7 @@ def test_exact_budget_is_checked_before_the_first_step(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(SizeGuardError, match="^exact rows to n=1000+ reach "):
         iid_matrix_expectation(IIDModel.binary(Fraction(1, 2)), 10**400)
-    assert iid_matrix_expectation(ten.as_floats(), 31).mode == "float"  # floats are not priced
+    assert iid_matrix_expectation(float_twin(ten), 31).mode == "float"  # floats are not priced
 
 
 def test_float_rows_are_checked_before_the_first_step(monkeypatch):
@@ -470,7 +470,7 @@ def repeated_law_models(draw):
     weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True).filter(any))
     letters = draw(st.permutations([w for w in weights for _ in range(draw(st.integers(1, 4)))]))
     model = IIDModel(tuple(Fraction(w, sum(letters)) for w in letters))
-    return model if draw(st.booleans()) else model.as_floats()
+    return model if draw(st.booleans()) else float_twin(model)
 
 
 @given(repeated_law_models(), st.integers(1, 120))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from reference import hand_letter_source
+from reference import float_twin, hand_letter_source
 from subseqlab import IIDModel, MarkovModel
 from subseqlab.expectation import _letter_source
 
@@ -88,7 +88,7 @@ MODELS = [
                  id="iid-1/6,1/3,1/2"),
     pytest.param(IIDModel((0.2, 0.3, 0.5)), id="iid-0.2,0.3,0.5"),
     *(pytest.param(IIDModel.uniform(d), id=f"iid-uniform-{d}") for d in (1, 2, 3, 26)),
-    *(pytest.param(IIDModel.uniform(d).as_floats(), id=f"iid-uniform-{d}-float")
+    *(pytest.param(float_twin(IIDModel.uniform(d)), id=f"iid-uniform-{d}-float")
       for d in (1, 2, 3, 26)),
 ]
 

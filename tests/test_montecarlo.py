@@ -21,7 +21,9 @@ from subseqlab import (
     IIDModel,
     LetterString,
     MarkovModel,
+    SizeGuardError,
     closed_form_binary,
+    count_distinct,
     estimate_expected_count,
     exhaustive_expectation,
     fit_growth_rate,
@@ -299,6 +301,36 @@ def test_block_skips_a_zero_probability_letter():
     ]
 
 
+KERNEL_BLOCKS = [
+    pytest.param(IIDModel.binary(0.5), 2000, id="fair-n2000"),  # about 670 rounds a row
+    pytest.param(IIDModel((1,)), 50, id="d1"),
+    pytest.param(IIDModel.uniform(70), 1000, id="d70"),
+    pytest.param(IIDModel((Fraction(1, 2), 0, Fraction(1, 2))), 64, id="zero-letter"),
+    pytest.param(MarkovModel(0, 1), 300, id="chain0,1"),
+]
+
+
+@pytest.mark.parametrize("model,n", KERNEL_BLOCKS)
+def test_block_kernels_equal_the_scalar_statistics(model, n):
+    """Each row of the flat-state kernels is ``count_distinct`` and
+    ``superpattern_k`` of that row's letters: where a row closes hundreds of
+    rounds (so its round parity flips as often), over one letter and over
+    70, with a letter never drawn (so no round closes), and on the chain
+    that alternates its letters."""
+    rows = 24
+    strings = [LetterString(Alphabet(model.d), tuple(r)) for r in block_rows(model, rows, n)]
+    phis = _block(_count_block, model, n, rows, 13, 2, BLOCK, 0)
+    ks = _block(_greedy_block, model, n, rows, 13, 2, BLOCK, 0)
+    assert phis == [count_distinct(s) for s in strings]
+    assert ks == [superpattern_k(s) for s in strings]
+    if model.d == 1:
+        assert phis == ks == [n] * rows
+    elif 0 in getattr(model, "probs", ()):
+        assert ks == [0] * rows
+    else:
+        assert max(ks) >= 2 and (model.d > 2 or min(ks) > 100)
+
+
 @pytest.mark.parametrize("model", [IIDModel.binary(0.3), MarkovModel(0.8, 0.2)])
 def test_sample_string_draws_whole_slabs(model):
     """One string is drawn a slab at a time, never letter by letter."""
@@ -316,6 +348,66 @@ def test_sample_string_draws_whole_slabs(model):
     s = sample_string(model, 100_000, Counting(trial_rng(1, 0)))
     assert len(s) == 100_000
     assert Counting.calls == -(-100_000 // montecarlo.CELLS)
+
+
+def brute_price(counts, d, ns, trials):
+    """The sample guard's price summed cell by cell: each length's trials,
+    letters and block columns, and each count past the int64 switch
+    weighted by its digits, ``16 + j / 256`` in column j."""
+    size = min(BLOCK, max(1, STATE // d))
+    blocks = -(-trials // size)
+    price = Fraction(0)
+    for n in ns:
+        price += blocks * (montecarlo.COLUMN * n + size * d) + trials * montecarlo.TRIAL
+        for j in range(n):
+            digits = counts and j >= montecarlo.SWITCH
+            price += trials * (16 + Fraction(j, 256) if digits else 1)
+    return math.ceil(price)
+
+
+@pytest.mark.parametrize("ns", [range(0, 1), range(5, 6), range(61, 64), range(0, 300, 7),
+                                range(62, 63), range(100, 101), range(3, 200, 50)])
+@pytest.mark.parametrize("d,trials", [(2, 2), (2, 4097), (70, 9000), (3000, 5)])
+def test_price_is_summed_in_closed_form(ns, d, trials):
+    """The price of a grid, from its power sums, equals the cell-by-cell sum."""
+    for counts in (True, False):
+        assert montecarlo._price(counts, d, ns, trials) == brute_price(counts, d, ns, trials)
+
+
+ADMITTED = [  # the perfbench runs, the README's --workers table, ROADMAP baseline runs
+    (_count_block, IIDModel.binary(0.5), range(30, 31), 10**6),
+    (_count_block, IIDModel.binary(0.5), range(1000, 1001), 20_000),
+    (_count_block, MarkovModel(0.7, 0.3), range(100, 101), 10_000),
+    (_greedy_block, IIDModel.binary(0.5), range(1000, 1001), 20_000),
+    (_count_block, IIDModel.binary(0.5), range(10, 41, 5), 4000),
+    (_greedy_block, IIDModel.binary(0.5), range(2001, 2002), 20_000),  # counts are refused here
+]
+
+
+@pytest.mark.parametrize("stat,model,ns,trials", ADMITTED)
+def test_sample_guard_admits_the_runs_we_time(stat, model, ns, trials):
+    montecarlo._check_run(stat, model, ns, trials, 0)
+
+
+@pytest.mark.parametrize(
+    "run,n,trials",
+    [(estimate_expected_count, 10**30, 2), (superpattern_experiment, 10**30, 1),
+     (estimate_expected_count, 10, 10**12), (estimate_expected_count, 2001, 20_000)],
+    ids=["count-n", "superpattern-n", "count-trials", "count-digits"],
+)
+def test_sample_guard_refuses_before_drawing(monkeypatch, run, n, trials):
+    """A run over the guard raises before its first stream exists; 2001
+    letters at 20,000 trials are refused by the digits of their counts."""
+    monkeypatch.setattr(montecarlo, "trial_rng", None)
+    with pytest.raises(SizeGuardError, match=r"letter cells, over the sample guard of 5e\+08$"):
+        run(IIDModel.binary(0.5), n, trials, seed=0)
+
+
+def test_bad_input_is_refused_before_its_price():
+    with pytest.raises(ValueError, match="need at least 2 trials"):
+        estimate_expected_count(IIDModel.binary(0.5), 10**30, 1, seed=0)
+    with pytest.raises(ValueError, match="seed must be"):
+        superpattern_experiment(IIDModel.binary(0.5), 10**30, 10**30, seed=-1)
 
 
 def test_estimate_streams_are_independent():
