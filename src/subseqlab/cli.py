@@ -180,12 +180,12 @@ def cmd_count(args) -> int:
 
     def rows(join: bool):  # one dict per string, its profile joined by spaces for CSV
         for text, s in strings:
-            profile = new_subseq_counts(s)
-            phi = sum(profile)
+            phi = count_distinct(s)  # O(n) state: a profile holds O(n**2) bits
             row = {"input": text, "n": len(s), "phi": phi}
             if args.with_empty:
                 row["phi_with_empty"] = phi + 1
             if args.profile:
+                profile = new_subseq_counts(s)
                 row["profile"] = " ".join(map(str, profile)) if join else list(profile)
             yield row
 

@@ -12,8 +12,8 @@ steps), and hands each row out as a reduced integer pair, cancelled only by
 the primes of q0 * q; otherwise it runs in floats, where a row past the
 float64 range holds ln(E). Before its first step, a run raises
 :class:`SizeGuardError` if its predicted exact cost is over ``EXACT_GUARD``
-or its float rows are over ``FLOAT_GUARD``. The paper's closed form for IID
-binary strings stays here as a test reference.
+or its predicted float row operations are over ``FLOAT_GUARD``. The
+paper's closed form for IID binary strings stays here as a test reference.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ __all__ = [
 # summed. Printing a row costs about its digits squared, since CPython's
 # int-to-str is quadratic.
 EXACT_GUARD = 4 * 10**10
-# Rows a float run may reach. On a 2-core Xeon a float row of `expect` costs
-# 10 to 19 us and holds 46 bytes; the chain took 26 s and 108 MB at the guard.
-FLOAT_GUARD = 2 * 10**6
+# Row operations a float run may reach: d**2 for its law table and
+# L * m**2 + d * m a row, with L <= d laws and m hidden states. On a 2-core
+# Xeon the slowest admitted runs took 12 to 42 s, one letter at 7.5e6 rows.
+FLOAT_GUARD = 15 * 10**6
 
 
 class SizeGuardError(RuntimeError):
@@ -173,8 +174,8 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     before it starts.
     Floats run the same loop with q = q0 = 1 and are kept at scale 2**-k
     (divided by 2**600, which is exact, once ``total`` passes it); a row
-    whose ``2**k * total`` overflows holds its ln. Past ``FLOAT_GUARD``
-    rows the run stops before it starts.
+    whose ``2**k * total`` overflows holds its ln. A float run priced over
+    ``FLOAT_GUARD`` row operations stops before its law table is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -183,9 +184,11 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
     if mode == "exact" and not model.is_exact:
         raise ValueError("exact mode needs rational (Fraction) probabilities")
     mode = "exact" if model.is_exact else "float"
-    if mode == "float" and n > FLOAT_GUARD:
-        raise SizeGuardError(f"float rows to n={n} are over the float guard of {FLOAT_GUARD:.3g} rows")
     start, steps = _letter_source(model)
+    d, m = len(steps), len(start)
+    if mode == "float" and d * d + n * d * m * (m + 1) > FLOAT_GUARD:  # priced with L = d
+        raise SizeGuardError(f"float rows to n={n} cost {d}**2 + n*{d * m * (m + 1)} row "
+                             f"operations, over the float guard of {FLOAT_GUARD:.3g}")
     q0 = q = 1
     if mode == "exact":
         q0 = math.lcm(*(Fraction(p).denominator for p in start))
@@ -199,7 +202,7 @@ def _source_series(model, n: int, mode: str) -> ExpectationSeries:
                 f"exact rows to n={n} reach {digits:.3g} digits: a predicted cost of "
                 f"{cost:.3g} squared digits, over the exact guard of {EXACT_GUARD:.3g}"
             )
-    letters, states = range(len(steps)), range(len(start))
+    letters, states = range(d), range(m)
     # column-major, so each entry of a row-vector product is one sum(map(mul))
     laws = [
         (tuple(zip(*steps[c])),

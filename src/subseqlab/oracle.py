@@ -7,18 +7,19 @@ row by row. The exhaustive expectations add up each string's count times
 its weight in one depth-first walk over the prefix tree, with integer path
 weights. The walks that ``verify`` checks and ``tree-row`` prints are
 handed out as generators: the short strings with their bitset counts, and
-a tree row in runs, each derived from the row above a piece of whole
-blocks at a time. Size guards keep the exponential enumerations inside a
-sane budget and raise :class:`SizeGuardError` beyond it.
+a tree row in runs, each a group of blocks from a depth-first walk over
+the prefix tree, expanded in bulk to the row asked for. Size guards keep
+the exponential enumerations inside a sane budget and raise
+:class:`SizeGuardError` beyond it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import lru_cache, reduce
+from itertools import chain, islice, repeat
 from math import lcm
-from operator import add
+from operator import add, iadd
 
 from .expectation import ExpectationSeries, SizeGuardError
 from .strings import LetterString
@@ -148,10 +149,12 @@ def _walk(start, steps, n: int, visit) -> None:
 
 
 def _row_runs(d: int, n: int):
-    """Row ``n`` of the d-ary tree in order, in runs of consecutive entries,
-    so no caller holds the row: row 0 is ``[0]`` and later rows are
-    :func:`_row_pieces`' pieces. The inputs and the size guard are checked
-    on the call, before any run is built."""
+    """Row ``n`` of the d-ary tree in order, in runs of at most ``ROW_SLICE``
+    entries, so no caller holds the row: row 0 is ``[0]``, row 1 d ones, and
+    a later row each ``group`` of the blocks :func:`_blocks` walks to,
+    ``levels`` rows up, grown in bulk by :func:`_expand`. ``levels`` (0 for
+    d >= 13) keeps ``group`` at d blocks or more unless the row is one run.
+    Inputs and the size guard are checked on the call, before any run."""
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if n < 0:
@@ -159,68 +162,47 @@ def _row_runs(d: int, n: int):
     if n == 0:
         return ([0],)
     _guard_power(max(d, 2), n, "strings")  # before any d-entry block is built
-    return _row_pieces(d, n, ROW_SLICE)
-
-
-def _row_pieces(d: int, n: int, size: int):
-    """Row ``n`` >= 1 of the d-ary tree in order: row 1 in runs of at most
-    ``size`` ones, later rows in pieces of whole blocks of at most ``size + d``.
-
-    The block of a string u is the new counts of its d children, listed by
-    letter in decreasing order, so row n is the blocks of the length-(n-1)
-    strings in tree order, and the empty string's block is all ones. The
-    counter's -1-convention recurrence gives the block of u's child at
-    position c from u's block alone: entry c stays, and every other entry
-    gains u's entry c (the rule does not care that position c is letter
-    d-1-c). So row n derives from row n-1 chunk by chunk, each chunk whole
-    blocks of at most ``size // d`` entries (one block if that is less),
-    asked of row n-1's own generator in pieces of that size.
-    """
     if n == 1:
-        for start in range(0, d, size):
-            yield [1] * min(size, d - start)
-        return
-    gather = max(size // d // d, 1) * d
-    parents = []
-    for piece in _row_pieces(d, n - 1, gather):
-        parents += piece
-        while len(parents) >= gather:
-            yield from _children(parents[:gather], d, size)
-            del parents[:gather]
-    if parents:
-        yield from _children(parents, d, size)
+        return ([1] * min(ROW_SLICE, d - start) for start in range(0, d, ROW_SLICE))
+    levels = max((k for k in range(n) if d ** (k + 2) <= ROW_SLICE), default=0)
+    group = ROW_SLICE // d ** (levels + 1)
+    blocks = _blocks(d, n - 1 - levels)
+    runs = iter(lambda: reduce(iadd, islice(blocks, group), []), [])  # [] once the walk ends
+    return (_expand(run, d, levels) for run in runs)
 
 
-def _children(parents: list[int], d: int, size: int):
-    """The blocks of every child of the whole blocks in ``parents``, in order.
+def _blocks(d: int, depth: int):
+    """The block of each length-``depth`` string in tree order, from a
+    depth-first walk that holds the blocks on its path. A string's block is
+    the new counts of its d children by letter, decreasing, so row n is the
+    length-(n-1) strings' blocks; the empty string's is all ones. By the
+    counter's -1-convention recurrence the child at position c keeps entry
+    c and adds it to every other entry (whatever letter position c is)."""
 
-    With at least d parent blocks they come as one piece, from d**2 strided
-    slice assignments that each run in C across all the parents: child c's
-    entry e, for every parent at once. With fewer, that would cost more
-    Python steps than the parents have children, so the children are built
-    one block at a time, in pieces of at most ``size + d`` entries.
-    """
-    square = d * d
-    if len(parents) >= square:
-        columns = [parents[e::d] for e in range(d)]
-        out = [0] * (len(parents) * d)
-        for c, kept in enumerate(columns):
-            for e, column in enumerate(columns):
-                out[d * c + e::square] = kept if e == c else map(add, column, kept)
-        yield out
-        return
-    out = []
-    for start in range(0, len(parents), d):
-        block = parents[start:start + d]
+    def down(block, depth):
         for c, kept in enumerate(block):
             child = list(map(add, block, repeat(kept, d)))
             child[c] = kept
-            out += child
-            if len(out) >= size:
-                yield out
-                out = []
-    if out:
-        yield out
+            if depth == 1:
+                yield child
+            else:
+                yield from down(child, depth - 1)
+
+    return down([1] * d, depth) if depth else iter([[1] * d])
+
+
+def _expand(run: list[int], d: int, levels: int) -> list[int]:
+    """The entries ``levels`` rows below ``run``, a list of whole blocks: row
+    by row, :func:`_blocks`' rule in d**2 strided slice assignments, each in
+    C across the row (child c's entry e, for every parent at once)."""
+    square = d * d
+    for _ in range(levels):
+        columns = [run[e::d] for e in range(d)]
+        run = [0] * (len(run) * d)
+        for c, kept in enumerate(columns):
+            for e, column in enumerate(columns):
+                run[d * c + e::square] = kept if e == c else map(add, column, kept)
+    return run
 
 
 def tree_row(d: int, n: int) -> tuple[int, ...]:
@@ -231,8 +213,9 @@ def tree_row(d: int, n: int) -> tuple[int, ...]:
     decreasing letter order, so the leftmost branch is the all-(d-1) string.
     For binary rows that reads 11..1 first and 00..0 last. Row 0 is the
     empty string with value 0. The row is the concatenation of the runs
-    that ``tree-row`` writes as they arrive, each derived from the row
-    above: O(d**n) additions, most of them run in C across whole pieces.
+    that ``tree-row`` writes as they arrive: a walk to the strings a few
+    rows up and a bulk expansion of each group of their blocks, O(d**n)
+    additions, most of them run in C across whole runs.
     """
     return tuple(chain.from_iterable(_row_runs(d, n)))
 

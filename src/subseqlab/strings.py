@@ -21,13 +21,13 @@ expectations' depth-first walk, undoing the one slot each step overwrites
 when it backs up, so each string costs one step and no state is copied.
 The first four store, per letter, the running total just before its last
 occurrence, with -1 for a letter not seen yet, so
-``nu = total - before_last[c]`` needs no branch. ``oracle._row_pieces``
-builds the contribution tree's rows from what that convention implies for
-a string's block, the new counts of its children: appending c keeps
-entry c and adds it to every other entry. So each row follows from the
-row above, many blocks per slice assignment. The oracle owns both walks
-of the tree: ``tree-row`` and ``verify`` pull their rows and strings from
-its generators.
+``nu = total - before_last[c]`` needs no branch. The fifth is what that
+convention implies for a string's block, the new counts of its children:
+appending c keeps entry c and adds it to every other entry. The oracle
+builds the tree's rows with it, one block at a time down a walk
+(``oracle._blocks``), then many blocks per slice assignment
+(``oracle._expand``). ``tree-row`` and ``verify`` pull their rows and
+strings from the oracle's generators.
 """
 
 from __future__ import annotations

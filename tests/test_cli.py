@@ -308,6 +308,17 @@ def test_count_never_holds_its_rows(monkeypatch, tmp_path):
     assert _peak(["count", "--file", str(tmp_path / "strings.txt"), "--profile"]) < 8 * 10**6
 
 
+def test_count_without_a_profile_holds_no_profile(monkeypatch):
+    """count without --profile counts each string in O(n) state: the
+    profile of a 20000-letter string, whose entries reach 20000 bits, once
+    held about 16 MB only to be summed."""
+    rng = random.Random(0)
+    text = "".join(rng.choice("01") for _ in range(20000))
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    _peak(["count", "0110"])  # binds what the command imports
+    assert _peak(["count", text]) < 1024 * 1024
+
+
 @pytest.mark.parametrize("out", ["csv", "json"])
 def test_a_non_finite_last_row_leaves_stdout_empty(capsys, monkeypatch, out):
     """The rows stream, so expect checks every float before the header: a
@@ -342,12 +353,17 @@ def test_exact_budget_exit_code(capsys):
 
 
 def test_float_guard_exit_code(capsys):
-    """A float run over ``FLOAT_GUARD`` rows exits 2 within a second,
-    before its first row."""
-    for model in (("closed", "--alpha", "0.5"), ("markov", "--markov", "0.7,0.3")):
+    """A float run priced over ``FLOAT_GUARD`` row operations exits 2 within
+    a second, before its first row: 10**8 rows of a chain or of two
+    letters, and 2 * 10**6 rows over 300 letters weighted 1..300."""
+    weights = ",".join(repr(i / 45150) for i in range(1, 301))
+    for model, n, price in ((("closed", "--alpha", "0.5"), 10**8, "2**2 + n*4"),
+                            (("markov", "--markov", "0.7,0.3"), 10**8, "2**2 + n*12"),
+                            (("matrix", "--probs", weights), 2 * 10**6, "300**2 + n*600")):
         began = time.perf_counter()
-        assert run_cli(capsys, "expect", "--engine", *model, "--n", "100000000") == (2, "", (
-            "size guard: float rows to n=100000000 are over the float guard of 2e+06 rows\n"))
+        assert run_cli(capsys, "expect", "--engine", *model, "--n", str(n)) == (2, "", (
+            f"size guard: float rows to n={n} cost {price} row operations, "
+            "over the float guard of 1.5e+07\n"))
         assert time.perf_counter() - began < 1
 
 
@@ -430,7 +446,7 @@ def test_exact_budget_bounds_a_source_with_q_one(capsys):
 
 @pytest.mark.parametrize(
     "argv,name",
-    [(("count", "01"), "new_subseq_counts"), (("verify", "--max-n", "2"), "tree_row"),
+    [(("count", "01"), "count_distinct"), (("verify", "--max-n", "2"), "tree_row"),
      (("expect", "--engine", "closed", "--alpha", "1/2", "--exact", "--n", "2"),
       "iid_matrix_expectation")],
     ids=["count", "verify", "expect"],

@@ -400,16 +400,25 @@ def test_exact_budget_is_checked_before_the_first_step(monkeypatch):
 
 
 def test_float_rows_are_checked_before_the_first_step(monkeypatch):
-    """A float run over ``FLOAT_GUARD`` rows stops before any step, and an
-    exact run is priced by its budget alone. The guard admits the 10**6
-    rows of ``expect --engine closed --alpha 0.5 --n 1000000``."""
-    assert expectation.FLOAT_GUARD >= 10**6
-    with pytest.raises(SizeGuardError, match=r"^float rows to n=10{400} are over the float guard"):
-        iid_matrix_expectation(IIDModel.binary(0.5), 10**400)
-    monkeypatch.setattr(expectation, "FLOAT_GUARD", 30)
+    """A float run priced over ``FLOAT_GUARD`` row operations stops before
+    any step: d**2 for its law table and d * m * (m + 1) a row, its L <= d
+    laws counted as d. An exact run is priced by its budget alone. The guard
+    admits ``expect --engine markov --markov 0.7,0.3 --n 1000000`` and
+    ``--engine closed --alpha 0.5 --n 1000000``, and refuses 2 * 10**6 rows
+    over 300 letters, which cost about half a millisecond a row."""
     chain = MarkovModel(0.7, 0.3)
+    assert expectation.FLOAT_GUARD >= 2**2 + 10**6 * 2 * 2 * 3  # the chain, d = m = 2
+    assert expectation.FLOAT_GUARD >= 2**2 + 10**6 * 2 * 1 * 2  # binary IID, m = 1
+    with pytest.raises(SizeGuardError, match=r"^float rows to n=10{400} cost 2\*\*2 \+ n\*4 row "):
+        iid_matrix_expectation(IIDModel.binary(0.5), 10**400)
+    weights = IIDModel(tuple(i / 45150 for i in range(1, 301)))
+    with pytest.raises(SizeGuardError, match=r"^float rows to n=2000000 cost 300\*\*2 \+ n\*600 row "):
+        iid_matrix_expectation(weights, 2 * 10**6)
+    monkeypatch.setattr(expectation, "FLOAT_GUARD", 2**2 + 30 * 12)
     assert len(markov_expectation(chain, 30)) == 30
-    with pytest.raises(SizeGuardError, match="^float rows to n=31 are over the float guard of 30 rows$"):
+    with pytest.raises(SizeGuardError, match=(
+        r"^float rows to n=31 cost 2\*\*2 \+ n\*12 row operations, over the float guard of 364$"
+    )):
         markov_expectation(chain, 31)
     assert iid_matrix_expectation(IIDModel.uniform(10), 31).mode == "exact"
 

@@ -184,15 +184,14 @@ def test_tree_row_blocks_follow_the_row_above():
             above = row
 
 
-def test_tree_row_runs_hold_at_most_a_slice_and_a_block():
-    """Every run of a row, whether from strided assignments or built one
-    block at a time, holds at most ``ROW_SLICE + d`` entries, and the runs
-    hold the row's d**n entries between them. Row 1 is cut into runs of at
-    most ``ROW_SLICE``."""
-    for d, n in [(3000, 1), (1024, 2), (101, 3), (11, 5), (10, 6), (5, 8), (2, 17)]:
+def test_tree_row_runs_hold_at_most_a_slice():
+    """Every run of every row holds at most ``ROW_SLICE`` entries, and the
+    runs hold the row's d**n entries between them: row 1 cut into slices,
+    rows walked block by block (d >= 13) and rows expanded in bulk."""
+    for d, n in [(3000, 1), (1024, 2), (101, 3), (13, 4), (12, 4), (11, 5), (10, 6),
+                 (5, 8), (2, 17)]:
         runs = list(oracle._row_runs(d, n))
-        bound = oracle.ROW_SLICE if n == 1 else oracle.ROW_SLICE + d
-        assert max(map(len, runs)) <= bound, (d, n)
+        assert max(map(len, runs)) <= oracle.ROW_SLICE, (d, n)
         assert sum(map(len, runs)) == d**n, (d, n)
 
 
@@ -219,12 +218,15 @@ def test_walk_prunes_zero_probability_branches(visits):
 
 def test_tree_row_is_the_counter_on_every_string():
     """Entry m of row n is the counter's last new count on the m-th length-n
-    string in the tree's order, so the rows built from the row above and
-    ``IncrementalCounter`` agree on every string. The row over 40 letters
-    is built one child block at a time, and the one over 12 letters also
-    by strided assignments."""
+    string in the tree's order, so the rows from the walk and the bulk
+    expansion and ``IncrementalCounter`` agree on every string. Rows over
+    13 and 40 letters are walked block by block; the one over 12 letters is
+    expanded one row from groups of its walk, (2, 13) and (3, 8) expand
+    several rows in several runs, and (2, 5) and (1, 20) expand from the
+    empty string's block, their depth capped by n - 1."""
     shapes = [(d, n) for d in (1, 2, 3) for n in range(1, 7)]
-    shapes += [(d, n) for d in (4, 5) for n in range(1, 6)] + [(40, 2), (12, 3)]
+    shapes += [(d, n) for d in (4, 5) for n in range(1, 6)]
+    shapes += [(40, 2), (13, 3), (12, 3), (2, 13), (3, 8), (1, 20)]
     for d, n in shapes:
         alphabet = Alphabet(d)
         strings = itertools.product(range(d - 1, -1, -1), repeat=n)
